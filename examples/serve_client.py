@@ -9,8 +9,8 @@ Runs in a few seconds, entirely in-process (no daemon left behind):
    generator;
 3. submit three solve requests concurrently from client threads —
    two at one grid size (they share the warm per-``n`` template
-   cache; with a linger window they may ride the same batch) and one
-   at another;
+   cache, and ride one batch when the second is queued while the
+   first waits) and one at another;
 4. print each request's status, batch/caching telemetry, and the run
    manifest path written under the service's results directory.
 
@@ -53,8 +53,6 @@ def main(n_small: int = 10, n_large: int = 14, seed: int = 7) -> None:
         config = ServiceConfig(
             socket_path=Path(tmp) / "parma.sock",
             results_dir=Path(tmp) / "results",
-            linger=0.05,  # hold the batch open so the second n_small
-                          # request can join the first one's formation pass
             observer=Observer(),  # service-level serve.* metrics for `stats`
         )
         service = SolveService(config)

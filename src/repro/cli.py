@@ -855,7 +855,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                     config = ServiceConfig(
                         socket_path=sd / "chaos.sock",
                         results_dir=sd / "results",
-                        linger=0.0,
                         executor="subprocess",
                         serve_workers=1,
                         term_grace=0.2,
@@ -940,7 +939,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                     listen=fd / "front.sock",
                     results_dir=fd / "results",
                     shards=2,
-                    linger=0.0,
                     term_grace=0.2,
                     faults=FaultPlan(seed=seed, fleet_kill_requests=(2,)),
                 ))
@@ -1409,7 +1407,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         tcp=args.tcp,
         max_queue_depth=args.queue_depth,
         max_batch=args.max_batch,
-        linger=args.linger,
         serve_workers=args.serve_workers,
         strategy=args.strategy,
         num_workers=args.workers,
@@ -1496,7 +1493,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         shards=args.shards,
         max_queue_depth=args.queue_depth,
         max_batch=args.max_batch,
-        linger=args.linger,
         serve_workers=args.serve_workers,
         strategy=args.strategy,
         num_workers=args.workers,
@@ -2146,12 +2142,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="admission bound; beyond it requests are "
                             "rejected retriably (exit 75 at the client)")
     p_srv.add_argument("--max-batch", type=int, default=8,
-                       help="max compatible requests (same n, same "
-                            "formation) coalesced into one formation pass")
-    p_srv.add_argument("--linger", type=float, default=0.05,
-                       metavar="SECONDS",
-                       help="how long a batch head waits for compatible "
-                            "followers before executing")
+                       help="max already-queued compatible requests (same "
+                            "n, same formation) run as one formation pass")
     p_srv.add_argument("--serve-workers", type=int, default=1,
                        help="executor threads (keep 1 unless solves are "
                             "short and BLAS contention is acceptable)")
@@ -2205,10 +2197,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet.add_argument("--queue-depth", type=int, default=64,
                          help="per-shard admission bound")
     p_fleet.add_argument("--max-batch", type=int, default=8,
-                         help="per-shard batch coalescing bound")
-    p_fleet.add_argument("--linger", type=float, default=0.05,
-                         metavar="SECONDS",
-                         help="per-shard batch linger window")
+                         help="per-shard bound on already-queued "
+                              "requests coalesced into one batch")
     p_fleet.add_argument("--serve-workers", type=int, default=1,
                          help="executor slots inside each shard")
     p_fleet.add_argument("--strategy", default="single",

@@ -5,7 +5,8 @@ A manifest is written next to the trace by
 
 * identity — run id, start time, schema version;
 * config — the caller's knob dict (strategy, n, workers, solver, ...);
-* environment — host, platform, Python, numpy + BLAS, git describe;
+* environment — host, platform, Python, numpy + BLAS, git describe
+  (sampled once per process, see :func:`environment_info`);
 * phases — per-span-name wall rollups (count / total / self seconds)
   reconstructed from the trace;
 * metrics — the full :class:`repro.observe.metrics.MetricsRegistry`
@@ -21,6 +22,7 @@ The file is written atomically (:mod:`repro.resilience.atomio`), and
 
 from __future__ import annotations
 
+import functools
 import json
 import platform
 import socket
@@ -91,8 +93,8 @@ def _blas_info() -> str:
         return "unknown"
 
 
-def environment_info() -> dict[str, Any]:
-    """Host/toolchain facts pinned into every manifest."""
+@functools.cache
+def _environment_sample() -> dict[str, Any]:
     import numpy as np
 
     return {
@@ -104,6 +106,16 @@ def environment_info() -> dict[str, Any]:
         "git": _git_describe(),
         "cpu_count": __import__("os").cpu_count(),
     }
+
+
+def environment_info() -> dict[str, Any]:
+    """Host/toolchain facts pinned into every manifest, as a fresh copy.
+
+    Sampled once per process: the BLAS probe and ``git describe`` cost
+    milliseconds.  A long-lived service so reports the ``git --dirty``
+    state of the tree as it was when the service started.
+    """
+    return dict(_environment_sample())
 
 
 def build_manifest(

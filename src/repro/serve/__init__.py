@@ -21,7 +21,7 @@ The pieces, each its own module:
   classes with an anti-starvation age bound, load shedding,
   per-client token-bucket quotas, drain-aware retriable rejections;
 * :mod:`repro.serve.batcher` — compatibility keying and batch
-  coalescing with a short linger window;
+  coalescing of already-queued requests (work-conserving: no wait);
 * :mod:`repro.serve.runner` — the per-request execution pipeline both
   hosts share (which is what keeps their results bit-identical);
 * :mod:`repro.serve.executor` — the forked executor pool: heartbeat

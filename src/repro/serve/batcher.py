@@ -10,11 +10,13 @@ first is stamped/solved against warm caches (the measured win is the
 ``serve.latency.{cold,warm}`` histogram split; see
 ``docs/SERVING.md``).
 
-The coalescing policy is deliberately simple and starvation-free:
+The coalescing policy is deliberately simple, work-conserving and
+starvation-free:
 
 1. block for the *oldest* ticket (strict FIFO head);
-2. linger up to ``linger`` seconds, sweeping in every queued ticket
-   with the same :func:`batch_key`, until ``max_batch`` is reached;
+2. sweep in every ticket already queued with the same
+   :func:`batch_key`, up to ``max_batch`` — never wait for more, so a
+   lone request is dispatched the moment it is admitted;
 3. never reorder across keys — a ticket only jumps the queue when the
    head of the queue already committed its key.
 
@@ -25,7 +27,6 @@ honoured per member during execution.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -80,58 +81,27 @@ class Batcher:
         The admission queue to consume.
     max_batch:
         Hard cap on members per batch (1 disables coalescing).
-    linger:
-        Seconds to wait for more compatible tickets after the head
-        ticket is taken.  0 batches only what is already queued —
-        still effective under concurrent load, and adds no idle
-        latency for lone requests.
     """
 
-    def __init__(
-        self,
-        queue: AdmissionQueue,
-        max_batch: int = 8,
-        linger: float = 0.0,
-    ) -> None:
+    def __init__(self, queue: AdmissionQueue, max_batch: int = 8) -> None:
         if not 1 <= max_batch <= MAX_BATCH_LIMIT:
             raise ValueError(
                 f"max_batch must be in [1, {MAX_BATCH_LIMIT}], got {max_batch}"
             )
-        if linger < 0:
-            raise ValueError(f"linger must be >= 0, got {linger}")
         self.queue = queue
         self.max_batch = int(max_batch)
-        self.linger = float(linger)
 
     def next_batch(self, timeout: float | None = None) -> Batch | None:
         """Block for the next batch; None on timeout or drained-empty.
 
-        The head ticket commits the batch key; queued compatible
-        tickets are swept in immediately, then the linger window keeps
-        sweeping until it closes or the batch fills.
+        The head ticket commits the batch key, and the compatible
+        tickets already queued join it; nothing waits for later ones.
         """
         head = self.queue.take(timeout=timeout)
         if head is None:
             return None
         key = batch_key(head.request)
-        members = [head]
-
-        def sweep() -> None:
-            room = self.max_batch - len(members)
-            if room > 0:
-                members.extend(
-                    self.queue.take_matching(
-                        lambda req: batch_key(req) == key, room
-                    )
-                )
-
-        sweep()
-        if self.linger > 0:
-            close = time.monotonic() + self.linger
-            while len(members) < self.max_batch:
-                remaining = close - time.monotonic()
-                if remaining <= 0:
-                    break
-                time.sleep(min(remaining, 0.005))
-                sweep()
-        return Batch(key=key, tickets=tuple(members))
+        followers = self.queue.take_matching(
+            lambda req: batch_key(req) == key, self.max_batch - 1
+        )
+        return Batch(key=key, tickets=(head, *followers))

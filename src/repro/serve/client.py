@@ -146,6 +146,7 @@ class SolveClient:
         except (
             FileNotFoundError,
             ConnectionRefusedError,
+            BlockingIOError,  # unix connect with the listen backlog full
             socket.timeout,
             socket.gaierror,
         ) as exc:
@@ -157,7 +158,8 @@ class SolveClient:
                 else f"start one with `parma serve --socket {self.address}`"
             )
             raise ServeConnectionError(
-                f"no solve service on {self.address} ({hint})"
+                f"cannot reach a solve service on {self.address}: {exc} "
+                f"({hint})"
             ) from exc
         try:
             try:

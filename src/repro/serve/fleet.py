@@ -55,6 +55,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.observe import Observer
+from repro.observe.manifest import environment_info
 from repro.observe.metrics import MetricsRegistry
 from repro.observe.observer import as_observer
 from repro.resilience.faults import as_injector
@@ -177,7 +178,6 @@ class FleetConfig:
     replicas: int = 64
     max_queue_depth: int = 64
     max_batch: int = 8
-    linger: float = 0.05
     serve_workers: int = 1
     strategy: str = "single"
     num_workers: int = 4
@@ -220,7 +220,6 @@ class FleetConfig:
             results_dir=self.shard_dir(index),
             max_queue_depth=self.max_queue_depth,
             max_batch=self.max_batch,
-            linger=self.linger,
             serve_workers=self.serve_workers,
             strategy=self.strategy,
             num_workers=self.num_workers,
@@ -295,6 +294,9 @@ class SolveFleet:
         if self._listeners:
             raise RuntimeError("fleet already started")
         self.config.results_dir.mkdir(parents=True, exist_ok=True)
+        # Sample the manifest environment before the shards fork, so
+        # each inherits it instead of probing it again.
+        environment_info()
         # The board must exist before the first fork so every child
         # inherits the same shared-memory mapping.
         self.board = HeartbeatBoard(self.config.shards)

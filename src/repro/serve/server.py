@@ -53,6 +53,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.templates import has_template
+from repro.observe.manifest import environment_info
 from repro.observe.observer import as_observer
 from repro.parallel.pymp import fork_available
 from repro.serve.batcher import Batch, Batcher
@@ -82,6 +83,10 @@ from repro.utils import logging as rlog
 
 #: How long blocked socket/queue polls sleep between liveness checks.
 _POLL_SECONDS = 0.1
+
+#: Listen backlog, independent of admission depth: a full backlog
+#: makes unix connects fail with EAGAIN before admission can answer.
+_LISTEN_BACKLOG = 128
 
 #: Status → rejection counter name (see ``serve.*`` metric family).
 _REJECT_COUNTERS = {
@@ -124,7 +129,6 @@ class ServiceConfig:
     tcp: str | None = None
     max_queue_depth: int = 64
     max_batch: int = 8
-    linger: float = 0.05
     serve_workers: int = 1
     strategy: str = "single"
     num_workers: int = 4
@@ -199,9 +203,7 @@ class SolveService:
             quota_burst=config.quota_burst,
             on_shed=self._on_shed,
         )
-        self.batcher = Batcher(
-            self.queue, max_batch=config.max_batch, linger=config.linger
-        )
+        self.batcher = Batcher(self.queue, max_batch=config.max_batch)
         self.pool: ExecutorPool | None = None
         self._runner: RequestRunner | None = None
         if self.executor_mode == "thread":
@@ -224,6 +226,7 @@ class SolveService:
         self._handlers: set[threading.Thread] = set()
         self._handlers_lock = threading.Lock()
         self._stopping = threading.Event()
+        self._stopped = threading.Event()
         self._drained = threading.Event()
         self._started_at = time.monotonic()
         self._requests_seen = 0
@@ -245,12 +248,15 @@ class SolveService:
         afterwards, so the initial pool avoids fork-with-locks hazards
         entirely (respawns after a crash do fork from a threaded
         parent; see :meth:`repro.serve.executor.ExecutorPool.start`).
+        The manifest environment is sampled here too, once, so every
+        executor child inherits it and no request pays for it.
         """
         if self._sock is not None:
             raise RuntimeError("service already started")
         path = self.config.socket_path
         path.parent.mkdir(parents=True, exist_ok=True)
         self.config.results_dir.mkdir(parents=True, exist_ok=True)
+        environment_info()
         if self.executor_mode == "subprocess":
             self.pool = ExecutorPool(
                 self.config.serve_workers,
@@ -272,7 +278,7 @@ class SolveService:
             path.unlink()
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         sock.bind(str(path))
-        sock.listen(min(128, self.config.max_queue_depth * 2))
+        sock.listen(_LISTEN_BACKLOG)
         sock.settimeout(_POLL_SECONDS)
         self._sock = sock
         if self.config.tcp is not None:
@@ -280,7 +286,7 @@ class SolveService:
             tcp_sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             tcp_sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             tcp_sock.bind(target)
-            tcp_sock.listen(min(128, self.config.max_queue_depth * 2))
+            tcp_sock.listen(_LISTEN_BACKLOG)
             tcp_sock.settimeout(_POLL_SECONDS)
             self._tcp_sock = tcp_sock
             self.tcp_address = tcp_sock.getsockname()[:2]
@@ -353,6 +359,7 @@ class SolveService:
         self.wait()
         if self.pool is not None:
             self.pool.stop()
+        self._stopped.set()
         for acceptor in self._acceptors:
             acceptor.join(timeout=5.0)
         self._acceptors = []
@@ -438,8 +445,12 @@ class SolveService:
     # -- acceptor / handlers -------------------------------------------------
 
     def _accept_loop(self, listener: socket.socket) -> None:
-        """Accept connections until stopped; one handler thread each."""
-        while not self._stopping.is_set():
+        """Accept connections until stopped; one handler thread each.
+
+        Accepting continues through a drain, so late clients get their
+        ``rejected-draining`` reply instead of waiting in the backlog.
+        """
+        while not self._stopped.is_set():
             try:
                 conn, _ = listener.accept()
             except socket.timeout:

@@ -51,7 +51,6 @@ def _service(tmp_path, obs, **overrides):
     config = ServiceConfig(
         socket_path=tmp_path / "chaos.sock",
         results_dir=tmp_path / "results",
-        linger=0.0,
         executor="subprocess",
         term_grace=0.2,
         observer=obs,

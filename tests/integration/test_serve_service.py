@@ -57,7 +57,6 @@ def service(tmp_path):
         results_dir=tmp_path / "results",
         max_queue_depth=32,
         max_batch=8,
-        linger=0.05,
         observer=obs,
     )
     svc = SolveService(config)
@@ -110,7 +109,8 @@ class TestConcurrentBatching:
             assert np.array_equal(r.resistance_array(), reference.resistance)
             assert r.num_regions == reference.detection.num_regions
         # Batching actually coalesced: fewer formation batches than
-        # requests (the 0.05s linger holds same-n requests together).
+        # requests (same-n requests queued behind a running batch ride
+        # the next one together).
         snapshot = obs.metrics.snapshot()
         assert snapshot["serve.requests"]["value"] == 8
         assert 2 <= snapshot["serve.batches"]["value"] < 8
@@ -170,8 +170,6 @@ class TestSigtermDrain:
                 str(socket_path),
                 "--results",
                 str(results_dir),
-                "--linger",
-                "0.02",
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,

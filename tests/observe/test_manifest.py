@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.observe import manifest as manifest_mod
 from repro.observe.manifest import (
     REQUIRED_KEYS,
     ManifestError,
@@ -55,6 +56,22 @@ class TestBuild:
         env = environment_info()
         for key in ("host", "platform", "python", "numpy", "blas", "git"):
             assert isinstance(env[key], str) and env[key]
+
+    def test_environment_sampled_once_and_copied(self, monkeypatch):
+        runs = []
+        real_run = manifest_mod.subprocess.run
+        monkeypatch.setattr(
+            manifest_mod.subprocess,
+            "run",
+            lambda *a, **kw: runs.append(a) or real_run(*a, **kw),
+        )
+        manifest_mod._environment_sample.cache_clear()
+        first = _manifest()
+        first["environment"]["git"] = "mutated"
+        environment_info()["host"] = "mutated"
+        second = _manifest()
+        assert len(runs) <= 1
+        assert "mutated" not in second["environment"].values()
 
     def test_json_serializable(self):
         json.dumps(_manifest())

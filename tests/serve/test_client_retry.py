@@ -171,6 +171,32 @@ class TestConnectionContext:
         assert info.value.safe_to_retry
         assert not info.value.request_sent
 
+    def test_full_listen_backlog_is_a_retriable_connection_error(
+        self, tmp_path
+    ):
+        # A unix listener that never accepts: once its backlog is full,
+        # connect fails with EAGAIN instead of blocking.
+        path = str(tmp_path / "full.sock")
+        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        listener.bind(path)
+        listener.listen(1)
+        held = [listener]
+        try:
+            for _ in range(64):
+                held.append(socket.socket(socket.AF_UNIX, socket.SOCK_STREAM))
+                held[-1].settimeout(1.0)
+                try:
+                    held[-1].connect(path)
+                except BlockingIOError:
+                    break
+            client = SolveClient(path, timeout=5.0, retries=1, backoff=0.0)
+            with pytest.raises(ServeConnectionError) as info:
+                client.solve(np.asarray(_z()))
+            assert info.value.safe_to_retry
+        finally:
+            for sock in held:
+                sock.close()
+
     def test_connection_reset_then_retry_succeeds(self, tmp_path):
         path = tmp_path / "serve.sock"
         script = [_partial_reply, _reply_status(STATUS_OK)]

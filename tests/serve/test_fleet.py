@@ -206,7 +206,6 @@ def fleet(tmp_path):
         listen="127.0.0.1:0",
         results_dir=tmp_path / "fleet",
         shards=2,
-        linger=0.0,
         processes=False,
     )
     f = SolveFleet(config)
@@ -271,7 +270,6 @@ class TestFleetInProcess:
             listen="127.0.0.1:0",
             results_dir=tmp_path / "quota-fleet",
             shards=2,
-            linger=0.0,
             processes=False,
             quota_rate=0.001,
             quota_burst=1.0,
@@ -297,7 +295,6 @@ class TestFleetProcesses:
             listen="127.0.0.1:0",
             results_dir=tmp_path / "proc-fleet",
             shards=2,
-            linger=0.0,
             processes=True,
             term_grace=0.2,
         )

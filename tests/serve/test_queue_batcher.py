@@ -348,7 +348,7 @@ class TestBatcher:
 
     def test_coalesces_same_key(self):
         queue = AdmissionQueue(max_depth=16)
-        batcher = Batcher(queue, max_batch=8, linger=0.0)
+        batcher = Batcher(queue, max_batch=8)
         for rid in "abc":
             queue.submit(_request(n=4, rid=rid))
         batch = batcher.next_batch(timeout=1.0)
@@ -360,7 +360,7 @@ class TestBatcher:
 
     def test_different_keys_stay_separate(self):
         queue = AdmissionQueue(max_depth=16)
-        batcher = Batcher(queue, max_batch=8, linger=0.0)
+        batcher = Batcher(queue, max_batch=8)
         queue.submit(_request(n=4, rid="a"))
         queue.submit(_request(n=5, rid="x"))
         queue.submit(_request(n=4, rid="b"))
@@ -375,7 +375,7 @@ class TestBatcher:
 
     def test_backend_splits_batches(self):
         queue = AdmissionQueue(max_depth=16)
-        batcher = Batcher(queue, max_batch=8, linger=0.0)
+        batcher = Batcher(queue, max_batch=8)
         queue.submit(_request(n=4, rid="a"))
         queue.submit(_request(n=4, backend="compiled", rid="x"))
         queue.submit(_request(n=4, rid="b"))
@@ -388,35 +388,18 @@ class TestBatcher:
 
     def test_max_batch_cap(self):
         queue = AdmissionQueue(max_depth=16)
-        batcher = Batcher(queue, max_batch=2, linger=0.0)
+        batcher = Batcher(queue, max_batch=2)
         for rid in "abcd":
             queue.submit(_request(n=4, rid=rid))
         assert batcher.next_batch(timeout=1.0).size == 2
         assert batcher.next_batch(timeout=1.0).size == 2
 
-    def test_linger_sweeps_late_arrivals(self):
-        queue = AdmissionQueue(max_depth=16)
-        batcher = Batcher(queue, max_batch=8, linger=0.5)
-        queue.submit(_request(n=4, rid="early"))
-
-        def late_submitter():
-            time.sleep(0.05)
-            queue.submit(_request(n=4, rid="late"))
-
-        thread = threading.Thread(target=late_submitter)
-        thread.start()
-        batch = batcher.next_batch(timeout=1.0)
-        thread.join()
-        assert [t.request.id for t in batch.tickets] == ["early", "late"]
-
     def test_timeout_returns_none(self):
         queue = AdmissionQueue(max_depth=4)
-        batcher = Batcher(queue, max_batch=4, linger=0.0)
+        batcher = Batcher(queue, max_batch=4)
         assert batcher.next_batch(timeout=0.05) is None
 
     def test_bad_knobs_rejected(self):
         queue = AdmissionQueue(max_depth=4)
         with pytest.raises(ValueError):
             Batcher(queue, max_batch=0)
-        with pytest.raises(ValueError):
-            Batcher(queue, linger=-1.0)

@@ -44,7 +44,6 @@ def service(tmp_path):
         results_dir=tmp_path / "results",
         max_queue_depth=8,
         max_batch=4,
-        linger=0.0,
         observer=obs,
     )
     svc = SolveService(config)
@@ -67,6 +66,8 @@ class TestSolvePath:
         )
         assert response.ok and response.exit_status == 0
         assert response.batch_size >= 1
+        # Work-conserving batching: nothing holds a lone request back.
+        assert response.queue_seconds < 0.05
         assert "Parma 8x8" in response.summary
         manifest = load_manifest(response.manifest_path)
         validate_manifest(manifest)
@@ -236,7 +237,6 @@ class TestAdmissionAndProtocolEdges:
             results_dir=tmp_path / "tiny-results",
             max_queue_depth=1,
             max_batch=1,
-            linger=0.0,
             observer=obs,
         )
         svc = SolveService(config)
@@ -276,7 +276,6 @@ class TestQuotasAndIdempotency:
         config = ServiceConfig(
             socket_path=tmp_path / "quota.sock",
             results_dir=tmp_path / "quota-results",
-            linger=0.0,
             quota_rate=1e-6,
             quota_burst=1.0,
             observer=obs,
@@ -377,7 +376,6 @@ class TestCatalogIngest:
         config = ServiceConfig(
             socket_path=tmp_path / "cat.sock",
             results_dir=tmp_path / "results",
-            linger=0.0,
             catalog_path=db,
             observer=obs,
         )
