@@ -364,7 +364,7 @@ class ParmaEngine:
             method=self.solver,
             backend=self.backend,
             degradation=self.degradation,
-        ):
+        ) as solve_span:
             if self.degradation:
                 solve_result, degradation = solve_with_degradation(
                     measurement.z_kohm,
@@ -384,6 +384,7 @@ class ParmaEngine:
                     observer=obs,
                     **(solver_kwargs or {}),
                 )
+            solve_span.set(termination=solve_result.termination)
         obs.record_degradation(degradation)
         rlog.info(
             "parma.solved",
@@ -391,6 +392,7 @@ class ParmaEngine:
             method=solve_result.method,
             converged=solve_result.converged,
             iterations=solve_result.iterations,
+            termination=solve_result.termination,
         )
         if self.deadline is not None:
             self.deadline.check("anomaly detection")

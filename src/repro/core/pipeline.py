@@ -83,6 +83,7 @@ def _resumed_result(
         residual_norm=float(solve_meta["residual_norm"]),
         elapsed_seconds=0.0,
         converged=bool(solve_meta["converged"]),
+        termination=str(solve_meta.get("termination", "")),
     )
     formation = FormationReport(
         strategy=f"resumed:{form_meta['strategy']}",
@@ -137,7 +138,10 @@ def run_pipeline(
     the field where the previous solve's last evaluation ended, so the
     first inner-circuit solve is served from the pseudo-inverse cache
     (:func:`repro.kirchhoff.forward.laplacian_pinv_cached`) instead of
-    being refactorised.
+    being refactorised.  Only a *converged* field seeds the next
+    solve: after an unconverged timepoint the next one starts cold,
+    from the uniform-field estimate, because a diverged field (one
+    resistor run off to ~1e306) is a worse start than no start at all.
 
     ``formation`` selects the equation-formation path for the default
     engine ("cached" template fast path or the "legacy" per-pair
@@ -149,7 +153,8 @@ def run_pipeline(
     (field + metadata, atomically, digest-protected) to a
     :class:`repro.resilience.CampaignCheckpoint`.  A rerun with
     ``resume=True`` (default) skips verified timepoints — including
-    seeding the warm start from the last checkpointed field — so an
+    seeding the warm start from the last checkpointed field when its
+    solve converged, by the same rule — so an
     interrupted day continues from where it died instead of
     re-solving from hour 0.  A corrupt field file fails its digest and
     that timepoint (plus everything after it) is recomputed.
@@ -227,7 +232,7 @@ def run_pipeline(
                     checkpoint.invalidate_from(index)
                 else:
                     result = _resumed_result(meas, field, entry, engine)
-                    previous_field = field
+                    previous_field = field if result.solve.converged else None
                     results.append(result)
                     obs.event(
                         "checkpoint.resumed", index=index, hour=float(meas.hour)
@@ -251,7 +256,9 @@ def run_pipeline(
                             results=tuple(results), drift_detection=None
                         )
                     raise
-            previous_field = result.resistance
+            previous_field = (
+                result.resistance if result.solve.converged else None
+            )
             results.append(result)
             if checkpoint is not None:
                 checkpoint.record(index, result)

@@ -39,6 +39,22 @@ exhausts does the solver assemble the Levenberg normal equations as a
 rescue, with the damping ridge hoisted out of the retry loop and
 applied to the diagonal in place.
 
+A solve that cannot succeed stops before it pays for a step.  After
+the Jacobian is assembled, :func:`solve_nested` reads its column
+scales ``s_j = Σ_i J_ij²`` — the Marquardt diagonal of ``JᵀJ`` — and
+exits with ``termination="singular"`` when
+``min s ≤ eps · max s`` (:data:`_SINGULAR_RATIO`, float64 epsilon).
+That is a resistor driven so far (R → 1e306) that its column
+``T²/R`` no longer moves any measurement: the GN system is singular
+along it, and the Levenberg rescue cannot help either, because the
+damping ``λ·diag(JᵀJ)`` is zero on the same column.  The two cases sit
+about fifty orders of magnitude apart: healthy fields read
+``min s / max s`` of 4e-4 to 0.42 (true fields and converged solves,
+n = 4 to 40), a diverged n=40 iterate reads 1e-57 or underflows to
+zero.  The check is one O(n⁴) pass over the Jacobian (~1 ms against
+a ~150 ms iteration at n=40) and runs only after the residual test,
+so converged solves are untouched.
+
 Both dense kernels (Jacobian assembly, JᵀJ/grad) run behind the
 ``backend="numpy"|"compiled"`` knob of
 :mod:`repro.core.solver_backends`; the two backends are bit-identical
@@ -78,6 +94,9 @@ _REFINE_LIMIT = 1e-10
 _REFINE_SWEEPS = 6
 #: Maximum step halvings in the backtracking line search.
 _LINESEARCH_HALVINGS = 20
+#: Smallest-to-largest Jacobian column-scale ratio at or below which
+#: the Gauss–Newton system counts as singular (see "Fast path").
+_SINGULAR_RATIO = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -86,6 +105,13 @@ class SolveResult:
 
     ``backend`` records the compute backend that actually executed
     (``"numpy"`` after a compiled-requested-but-unavailable fallback).
+    ``termination`` names why the iteration stopped: for
+    :func:`solve_nested` one of ``residual`` (``max|res| < tol``),
+    ``step`` (accepted step below 1e-15), ``singular`` (a dead
+    Jacobian column), ``no_descent`` (line search and Levenberg rescue
+    both failed) or ``max_iter``; :func:`repro.core.regularized.
+    solve_regularized` adds ``gradient``.  ``""`` for solvers that do
+    not report one.
     """
 
     r_estimate: np.ndarray
@@ -95,6 +121,7 @@ class SolveResult:
     elapsed_seconds: float
     converged: bool
     backend: str = "numpy"
+    termination: str = ""
 
     def max_relative_error(self, r_true: np.ndarray) -> float:
         r_true = np.asarray(r_true, dtype=np.float64)
@@ -224,7 +251,9 @@ def solve_nested(
     analytic blocked Jacobian, and the direct refined step of
     :func:`_gn_step`; rejected steps backtrack along the GN direction
     (cheap forward evaluations) before escalating to a Levenberg
-    rescue.  Per-iteration wall time lands in the
+    rescue.  A singular Jacobian ends the solve unconverged before any
+    step is attempted (counted as ``solver.gn.singular_exits``; see
+    "Fast path").  Per-iteration wall time lands in the
     ``solver.iteration.seconds`` histogram of the active observer.
     """
     from repro.observe.observer import as_observer
@@ -264,12 +293,18 @@ def solve_nested(
         raise ValueError("r0 produces a non-finite forward prediction")
     iterations = 0
     converged = False
+    termination = "max_iter"
     for iterations in range(1, max_iter + 1):
         if np.max(np.abs(res)) < tol:
-            converged = True
+            converged, termination = True, "residual"
             break
         iter_start = time.perf_counter()
         jac = _scaled_jacobian(r_cur, z, backend)
+        col_scale = np.einsum("ij,ij->j", jac, jac)
+        if col_scale.min() <= _SINGULAR_RATIO * col_scale.max():
+            obs.count("solver.gn.singular_exits")
+            termination = "singular"
+            break
         step = _gn_step(jac, -res, obs)
         accepted_step = None
         if step is not None:
@@ -292,12 +327,13 @@ def solve_nested(
             "solver.iteration.seconds", time.perf_counter() - iter_start
         )
         if accepted_step is None:
-            break  # no acceptable step found
-        if np.max(np.abs(accepted_step)) < 1e-15:
-            converged = True
+            termination = "no_descent"
             break
-    if np.max(np.abs(res)) < tol:
-        converged = True
+        if np.max(np.abs(accepted_step)) < 1e-15:
+            converged, termination = True, "step"
+            break
+    if not converged and np.max(np.abs(res)) < tol:
+        converged, termination = True, "residual"
     return SolveResult(
         r_estimate=r_cur,
         method="nested",
@@ -306,6 +342,7 @@ def solve_nested(
         elapsed_seconds=time.perf_counter() - start,
         converged=converged,
         backend=backend,
+        termination=termination,
     )
 
 

@@ -30,7 +30,9 @@ plus per-class ``serve.queue_depth.{interactive,batch}`` gauges),
 family — ``solver.iteration.seconds`` (per-Gauss–Newton-iteration
 histogram), ``solver.gn.refine_fallbacks`` (float32 step factorisation
 abandoned for double precision), ``solver.gn.lm_rescues`` (line search
-exhausted, Levenberg normal equations assembled) and
+exhausted, Levenberg normal equations assembled),
+``solver.gn.singular_exits`` (a dead Jacobian column ended the solve
+unconverged before any step) and
 ``solver.backend.fallback`` (``backend="compiled"`` requested without
 numba) — documented in ``docs/OBSERVABILITY.md``.
 

@@ -58,6 +58,9 @@ class _NullSpan:
     def __enter__(self) -> "_NullSpan":
         return self
 
+    def set(self, **attrs: Any) -> None:
+        return None
+
     def __exit__(self, *exc) -> None:
         return None
 

@@ -121,6 +121,10 @@ class _SpanHandle:
         self._id = ""
         self._parent: str | None = None
 
+    def set(self, **attrs: Any) -> None:
+        """Add attributes known only once the span's work is done."""
+        self._attrs.update(attrs)
+
     def __enter__(self) -> "_SpanHandle":
         self._id, self._parent = self._tracer._push()
         self._start = time.perf_counter()

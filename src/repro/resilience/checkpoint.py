@@ -165,6 +165,7 @@ class CampaignCheckpoint:
                 "iterations": int(result.solve.iterations),
                 "residual_norm": float(result.solve.residual_norm),
                 "converged": bool(result.solve.converged),
+                "termination": result.solve.termination,
             },
             "formation": {
                 "strategy": result.formation.strategy,

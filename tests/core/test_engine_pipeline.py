@@ -1,5 +1,7 @@
 """Tests for ParmaEngine and the campaign pipeline."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,26 @@ class TestWarmStart:
         cold = run_pipeline(run.campaign, engine=engine, warm_start=False)
         assert warm.results[0].solve.iterations == \
             cold.results[0].solve.iterations
+
+    def test_unconverged_timepoint_seeds_no_warm_start(self, noise_free_run):
+        _, run = noise_free_run
+        engine = ParmaEngine(strategy="single")
+        real = engine.parametrize
+        warm_seeded = []
+
+        def spy(meas, **kwargs):
+            warm_seeded.append("r0" in kwargs["solver_kwargs"])
+            result = real(meas, **kwargs)
+            if meas.hour == 6.0:  # report this solve as unconverged
+                solve = replace(result.solve, converged=False)
+                result = replace(result, solve=solve)
+            return result
+
+        engine.parametrize = spy
+        run_pipeline(run.campaign, engine=engine, warm_start=True)
+        # 0 h cold; 6 h warm from 0 h; 12 h cold after the unconverged
+        # 6 h solve; 24 h warm from the converged 12 h field.
+        assert warm_seeded == [False, True, False, True]
 
 
 class TestRegularizedEngine:

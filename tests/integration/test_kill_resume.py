@@ -8,6 +8,9 @@ These are the PR's two hard acceptance criteria:
   checksum and re-formed — never silently consumed.
 """
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -119,6 +122,56 @@ class TestCampaignKillAndResume:
         assert not any(
             r.formation.strategy.startswith("resumed:") for r in rerun.results
         )
+
+
+def _unconverged_at(engine: ParmaEngine, hour: float) -> ParmaEngine:
+    """Make ``engine`` report its solve at ``hour`` as unconverged.
+
+    The field stays as solved; only the verdict changes, and the verdict
+    is what the warm-start rule and the checkpoint entry read.
+    """
+    real = engine.parametrize
+
+    def parametrize(meas, **kwargs):
+        result = real(meas, **kwargs)
+        if meas.hour == hour:
+            solve = replace(
+                result.solve, converged=False, termination="no_descent"
+            )
+            result = replace(result, solve=solve)
+        return result
+
+    engine.parametrize = parametrize
+    return engine
+
+
+class TestResumeAfterUnconvergedTimepoint:
+    def test_resume_starts_cold_like_the_fault_free_run(self, tmp_path, day):
+        def engine():
+            return _unconverged_at(ParmaEngine(strategy="single"), 6.0)
+
+        fault_free = run_pipeline(day.campaign, engine=engine())
+        ck = tmp_path / "ck"
+        with pytest.raises(InjectedAbort):
+            run_pipeline(
+                day.campaign,
+                engine=engine(),
+                checkpoint_dir=ck,
+                faults=FaultPlan(seed=SEED, abort_after_timepoints=2),
+            )
+        entries = json.loads((ck / "manifest.json").read_text())["completed"]
+        assert [e["solve"]["converged"] for e in entries] == [True, False]
+        assert [e["solve"]["termination"] for e in entries] == [
+            "residual", "no_descent",
+        ]
+
+        resumed = run_pipeline(day.campaign, engine=engine(), checkpoint_dir=ck)
+        assert [r.solve.termination for r in resumed.results[:2]] == [
+            "residual", "no_descent",
+        ]
+        assert not resumed.results[2].formation.strategy.startswith("resumed:")
+        for ref, got in zip(fault_free.results, resumed.results):
+            assert np.array_equal(ref.resistance, got.resistance)
 
 
 class TestStreamCorruptionNeverConsumed:
