@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.solver import SolveResult, _scaled_jacobian, predict_z
-from repro.core.solver_backends import resolve_backend
 from repro.utils.validation import require_positive_array
 
 #: Relative first-order optimality on the stacked system:
@@ -72,7 +71,6 @@ def solve_regularized(
     r0: np.ndarray | None = None,
     tol: float = 1e-12,
     max_iter: int = 100,
-    backend: str = "numpy",
     observer=None,
 ) -> SolveResult:
     """Smoothness-regularized variable-projection solve.
@@ -82,9 +80,8 @@ def solve_regularized(
     ``"regularized"``.
 
     The data block of the stacked system ``[J_data; √λ L]`` is
-    assembled by the backend's blocked/compiled kernel with the
-    row scaling fused in (:mod:`repro.core.solver_backends`) — bit
-    identical to the historical two-pass assembly, so the Levenberg
+    assembled by the blocked kernel with the row scaling fused in
+    (:func:`repro.core.solver.transfer_jacobian`) — bit identical to the historical two-pass assembly, so the Levenberg
     trajectory is unchanged.  The normal equations deliberately stay
     in stacked form: splitting them as ``J_dataᵀJ_data + λ LᵀL``
     perturbs the last bits of ``JᵀJ``, and near the optimum the
@@ -105,7 +102,6 @@ def solve_regularized(
     if lam < 0:
         raise ValueError(f"lam must be non-negative, got {lam}")
     obs = as_observer(observer)
-    backend = resolve_backend(backend, obs)
     m, n = z.shape
     start = time.perf_counter()
     if r0 is None:
@@ -130,7 +126,7 @@ def solve_regularized(
     termination = "max_iter"
     for iterations in range(1, max_iter + 1):
         iter_start = time.perf_counter()
-        jac_data = _scaled_jacobian(r_cur, z, backend)
+        jac_data = _scaled_jacobian(r_cur, z)
         jac = np.concatenate([jac_data, sqrt_lam * lop], axis=0)
         full_res = np.concatenate([res, prior])
         grad = jac.T @ full_res
@@ -176,7 +172,6 @@ def solve_regularized(
         residual_norm=float(np.linalg.norm(res)),
         elapsed_seconds=time.perf_counter() - start,
         converged=converged,
-        backend=backend,
         termination=termination,
     )
 

@@ -54,12 +54,6 @@ n = 4 to 40), a diverged n=40 iterate reads 1e-57 or underflows to
 zero.  The check is one O(n⁴) pass over the Jacobian (~1 ms against
 a ~150 ms iteration at n=40) and runs only after the residual test,
 so converged solves are untouched.
-
-Both dense kernels (Jacobian assembly, JᵀJ/grad) run behind the
-``backend="numpy"|"compiled"`` knob of
-:mod:`repro.core.solver_backends`; the two backends are bit-identical
-by construction, and a missing numba degrades to numpy with a
-recorded metric, never an error.
 """
 
 from __future__ import annotations
@@ -72,11 +66,6 @@ import scipy.linalg
 import scipy.optimize
 
 from repro.core.residual import JointSystem
-from repro.core.solver_backends import (
-    fused_jtj_grad,
-    resolve_backend,
-    transfer_jacobian,
-)
 from repro.kirchhoff.forward import (
     effective_resistance_matrix,
     laplacian_factor_cached,
@@ -97,21 +86,28 @@ _LINESEARCH_HALVINGS = 20
 #: Smallest-to-largest Jacobian column-scale ratio at or below which
 #: the Gauss–Newton system counts as singular (see "Fast path").
 _SINGULAR_RATIO = float(np.finfo(np.float64).eps)
+#: Target bytes for one Jacobian assembly row block: the blocked
+#: kernel's peak intermediate is one ``(block, n, n, n)`` float64
+#: tensor, so ``block = TARGET / (8 n³)`` keeps assembly under ~64 MB
+#: of scratch at any device size.
+JACOBIAN_BLOCK_TARGET_BYTES = 64 * 1024 * 1024
+#: ``scipy.optimize.least_squares`` ``status`` → ``SolveResult.termination``.
+_LSQ_TERMINATION = {0: "max_iter", 1: "gradient", 2: "cost", 3: "step", 4: "step"}
 
 
 @dataclass(frozen=True)
 class SolveResult:
     """Outcome of an R-recovery solve.
 
-    ``backend`` records the compute backend that actually executed
-    (``"numpy"`` after a compiled-requested-but-unavailable fallback).
     ``termination`` names why the iteration stopped: for
     :func:`solve_nested` one of ``residual`` (``max|res| < tol``),
     ``step`` (accepted step below 1e-15), ``singular`` (a dead
     Jacobian column), ``no_descent`` (line search and Levenberg rescue
     both failed) or ``max_iter``; :func:`repro.core.regularized.
-    solve_regularized` adds ``gradient``.  ``""`` for solvers that do
-    not report one.
+    solve_regularized` adds ``gradient``; :func:`solve_full` and
+    :func:`solve_bounded` report scipy's reason as ``gradient``,
+    ``cost`` (relative cost change below ``ftol``), ``step`` or
+    ``max_iter``.  ``""`` for solvers that do not report one.
     """
 
     r_estimate: np.ndarray
@@ -120,7 +116,6 @@ class SolveResult:
     residual_norm: float
     elapsed_seconds: float
     converged: bool
-    backend: str = "numpy"
     termination: str = ""
 
     def max_relative_error(self, r_true: np.ndarray) -> float:
@@ -147,9 +142,8 @@ def nested_jacobian(r: np.ndarray) -> np.ndarray:
 
     Assembly is blocked over measurement-pair rows so the O(n⁴)
     transfer tensor never materialises at once (peak scratch one
-    ~64 MB block; see
-    :func:`repro.core.solver_backends.jacobian_row_block`) — values
-    are bit-identical to the historical full-broadcast expression.
+    ~64 MB block; see :func:`jacobian_row_block`) — values are
+    bit-identical to the historical full-broadcast expression.
     """
     r = require_positive_array(r, "r")
     # Cached: within one Gauss-Newton iteration the residual already
@@ -162,7 +156,7 @@ def nested_jacobian_reference(r: np.ndarray) -> np.ndarray:
     """The historical one-shot broadcast Jacobian (benchmarks/tests).
 
     Materialises the full O(n⁴) ``transfer`` tensor at once — kept as
-    the bit-parity reference for the blocked/compiled kernels and as
+    the bit-parity reference for the blocked kernel and as
     the pre-fast-path baseline for ``benchmarks/bench_solver.py``.
     """
     r = require_positive_array(r, "r")
@@ -182,7 +176,55 @@ def nested_jacobian_reference(r: np.ndarray) -> np.ndarray:
     return jac.reshape(m * n, m * n)
 
 
-def _scaled_jacobian(r: np.ndarray, z: np.ndarray, backend: str) -> np.ndarray:
+def jacobian_row_block(m: int, n: int) -> int:
+    """Rows of measurement pairs per Jacobian assembly block.
+
+    One block holds ``block * n * m * n`` float64 transfer values;
+    this picks the largest block under
+    :data:`JACOBIAN_BLOCK_TARGET_BYTES` (always at least one row).
+    """
+    per_row = 8 * n * m * n
+    return int(np.clip(JACOBIAN_BLOCK_TARGET_BYTES // max(1, per_row), 1, m))
+
+
+def transfer_jacobian(
+    pinv: np.ndarray, r: np.ndarray, z: np.ndarray | None = None
+) -> np.ndarray:
+    """Dense ``∂Z_st/∂θ_ab`` from the Laplacian pseudo-inverse.
+
+    Rows index measurement pairs ``(s, t)`` row-major; columns index
+    resistors ``(a, b)`` row-major.  With the transfer potential
+    ``T = P[Hs,Ha] - P[Hs,Vb] - P[Vt,Ha] + P[Vt,Vb]`` each entry is
+    ``T² / R_ab``; when ``z`` is given every row ``(s, t)`` is
+    additionally divided by ``z[s, t]`` (the relative-residual scaling
+    fused into assembly instead of a second full-matrix pass).
+    Assembly is blocked over measurement-pair rows
+    (:func:`jacobian_row_block`) so peak scratch stays bounded.
+    """
+    m, n = r.shape
+    hh = pinv[:m, :m]
+    hv = pinv[:m, m:]
+    vv = pinv[m:, m:]
+    out = np.empty((m * n, m * n), dtype=np.float64)
+    hvt = hv.T
+    block = jacobian_row_block(m, n)
+    for s0 in range(0, m, block):
+        s1 = min(s0 + block, m)
+        t = (
+            hh[s0:s1, None, :, None]
+            - hv[s0:s1, None, None, :]
+            - hvt[None, :, :, None]
+            + vv[None, :, None, :]
+        )
+        np.multiply(t, t, out=t)
+        t /= r[None, None, :, :]
+        if z is not None:
+            t /= z[s0:s1, :, None, None]
+        out[s0 * n : s1 * n] = t.reshape((s1 - s0) * n, m * n)
+    return out
+
+
+def _scaled_jacobian(r: np.ndarray, z: np.ndarray) -> np.ndarray:
     """The relative-residual Jacobian ``nested_jacobian(r) / z`` rows.
 
     The per-row ``1/z_st`` scaling is fused into the blocked assembly
@@ -191,7 +233,7 @@ def _scaled_jacobian(r: np.ndarray, z: np.ndarray, backend: str) -> np.ndarray:
     the residual evaluation left in the cache.
     """
     pinv = laplacian_factor_cached(r).pinv
-    return transfer_jacobian(pinv, r, z=z, backend=backend)
+    return transfer_jacobian(pinv, r, z=z)
 
 
 def _gn_step(jac: np.ndarray, rhs: np.ndarray, obs) -> np.ndarray | None:
@@ -242,7 +284,6 @@ def solve_nested(
     r0: np.ndarray | None = None,
     tol: float = 1e-12,
     max_iter: int = 100,
-    backend: str = "numpy",
     observer=None,
 ) -> SolveResult:
     """Variable-projection solve of Z(R) = Z_measured.
@@ -261,7 +302,6 @@ def solve_nested(
     z = require_positive_array(z, "z")
     require_positive(voltage, "voltage")
     obs = as_observer(observer)
-    backend = resolve_backend(backend, obs)
     m, n = z.shape
     start = time.perf_counter()
     if r0 is None:
@@ -299,7 +339,7 @@ def solve_nested(
             converged, termination = True, "residual"
             break
         iter_start = time.perf_counter()
-        jac = _scaled_jacobian(r_cur, z, backend)
+        jac = _scaled_jacobian(r_cur, z)
         col_scale = np.einsum("ij,ij->j", jac, jac)
         if col_scale.min() <= _SINGULAR_RATIO * col_scale.max():
             obs.count("solver.gn.singular_exits")
@@ -320,7 +360,7 @@ def solve_nested(
                 alpha *= 0.5
         if accepted_step is None:
             obs.count("solver.gn.lm_rescues")
-            rescue = _lm_rescue(jac, res, theta, cost, cost_and_res, backend)
+            rescue = _lm_rescue(jac, res, theta, cost, cost_and_res)
             if rescue is not None:
                 accepted_step, cost, res, r_cur, theta = rescue
         obs.observe_hist(
@@ -341,21 +381,23 @@ def solve_nested(
         residual_norm=float(np.linalg.norm(res)),
         elapsed_seconds=time.perf_counter() - start,
         converged=converged,
-        backend=backend,
         termination=termination,
     )
 
 
-def _lm_rescue(jac, res, theta, cost, cost_and_res, backend):
+def _lm_rescue(jac, res, theta, cost, cost_and_res):
     """Levenberg fallback when the GN direction yields no decrease.
 
     Assembles the normal equations lazily (only this path pays the
     JᵀJ gemm) and retries with an escalating damping ridge written
     onto the diagonal in place — diagonal values identical to the
     historical ``jtj + lam·diag(diag(jtj)) + 1e-300·I`` expression,
-    without re-allocating two dense n²×n² matrices per retry.
+    without re-allocating two dense n²×n² matrices per retry.  The
+    products go through a contiguous copy of ``Jᵀ``, which keeps the
+    BLAS operand layout, and so the Levenberg trajectory, fixed.
     """
-    jtj, grad = fused_jtj_grad(jac, res, backend)
+    jt = jac.T.copy()
+    jtj, grad = np.dot(jt, jac), np.dot(jt, res)
     diag_base = np.diag(jtj).copy()
     diag_idx = np.diag_indices_from(jtj)
     lam = 1e-4
@@ -455,18 +497,16 @@ def solve_full(
     r0: np.ndarray | None = None,
     tol: float = 1e-10,
     max_nfev: int = 60,
-    backend: str = "numpy",
     observer=None,
 ) -> SolveResult:
     """Joint solve over (θ, Ua, Ub) — the paper's literal formulation.
 
     Trust-region reflective least squares with the analytic sparse
     Jacobian; ``tr_solver='lsmr'`` keeps memory at the Jacobian's
-    O(n^4) nonzeros.  The ``backend`` knob is accepted for interface
-    symmetry but has no effect: this path is sparse end to end and
-    never assembles the dense kernels the knob selects.
+    O(n^4) nonzeros.  ``observer`` is accepted for interface symmetry
+    and unused.
     """
-    del backend, observer  # sparse path: no dense kernels to select
+    del observer
     z = require_positive_array(z, "z")
     if z.shape[0] != z.shape[1]:
         raise ValueError("full solver requires a square device")
@@ -493,6 +533,7 @@ def solve_full(
         residual_norm=float(np.linalg.norm(result.fun)),
         elapsed_seconds=time.perf_counter() - start,
         converged=bool(result.success),
+        termination=_LSQ_TERMINATION[result.status],
     )
 
 
@@ -503,7 +544,6 @@ def solve_bounded(
     tol: float = 1e-10,
     max_nfev: int = 200,
     spread: float = 6.0,
-    backend: str = "numpy",
     observer=None,
 ) -> SolveResult:
     """Box-bounded trust-region solve on ``θ = log R`` (safety net).
@@ -516,13 +556,11 @@ def solve_bounded(
     estimate (±``spread`` natural-log units ≈ a factor ``e^spread`` in
     resistance, generous for any physical device).  Slower and less
     accurate than :func:`solve_nested`, but it always returns a finite
-    field.
+    field.  ``observer`` is accepted for interface symmetry and unused.
     """
-    from repro.observe.observer import as_observer
-
+    del observer
     z = require_positive_array(z, "z")
     require_positive(voltage, "voltage")
-    backend = resolve_backend(backend, as_observer(observer))
     m, n = z.shape
     start = time.perf_counter()
     theta_unif = float(np.log(np.median(z) * m * n / (m + n - 1)))
@@ -543,7 +581,7 @@ def solve_bounded(
 
     def jacobian(th: np.ndarray) -> np.ndarray:
         r = np.exp(th).reshape(m, n)
-        return _scaled_jacobian(require_positive_array(r, "r"), z, backend)
+        return _scaled_jacobian(require_positive_array(r, "r"), z)
 
     result = scipy.optimize.least_squares(
         residual,
@@ -564,7 +602,7 @@ def solve_bounded(
         residual_norm=float(np.linalg.norm(result.fun)),
         elapsed_seconds=time.perf_counter() - start,
         converged=bool(result.success) and bool(np.all(np.isfinite(r_est))),
-        backend=backend,
+        termination=_LSQ_TERMINATION[result.status],
     )
 
 
@@ -572,7 +610,6 @@ def solve(
     z: np.ndarray,
     voltage: float = 5.0,
     method: str = "nested",
-    backend: str = "numpy",
     observer=None,
     **kwargs,
 ) -> SolveResult:
@@ -582,29 +619,26 @@ def solve(
     ``"regularized"`` (Tikhonov-smoothed nested; pass ``lam=...``,
     default 1e-3 — see :mod:`repro.core.regularized`), or ``"bounded"``
     (box-constrained trust region, the degradation ladder's safety
-    net).  ``backend`` selects the dense-kernel implementation
-    (``"numpy"``/``"compiled"``; see
-    :mod:`repro.core.solver_backends`) and threads to every method —
-    the sparse ``"full"`` solver accepts and ignores it.
+    net).
     """
     if method == "nested":
         return solve_nested(
-            z, voltage=voltage, backend=backend, observer=observer, **kwargs
+            z, voltage=voltage, observer=observer, **kwargs
         )
     if method == "full":
         return solve_full(
-            z, voltage=voltage, backend=backend, observer=observer, **kwargs
+            z, voltage=voltage, observer=observer, **kwargs
         )
     if method == "regularized":
         from repro.core.regularized import solve_regularized
 
         kwargs.setdefault("lam", 1e-3)
         return solve_regularized(
-            z, voltage=voltage, backend=backend, observer=observer, **kwargs
+            z, voltage=voltage, observer=observer, **kwargs
         )
     if method == "bounded":
         return solve_bounded(
-            z, voltage=voltage, backend=backend, observer=observer, **kwargs
+            z, voltage=voltage, observer=observer, **kwargs
         )
     raise ValueError(
         f"unknown method {method!r}; use 'nested', 'full', 'regularized' "

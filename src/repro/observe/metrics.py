@@ -30,11 +30,9 @@ plus per-class ``serve.queue_depth.{interactive,batch}`` gauges),
 family — ``solver.iteration.seconds`` (per-Gauss–Newton-iteration
 histogram), ``solver.gn.refine_fallbacks`` (float32 step factorisation
 abandoned for double precision), ``solver.gn.lm_rescues`` (line search
-exhausted, Levenberg normal equations assembled),
+exhausted, Levenberg normal equations assembled) and
 ``solver.gn.singular_exits`` (a dead Jacobian column ended the solve
-unconverged before any step) and
-``solver.backend.fallback`` (``backend="compiled"`` requested without
-numba) — documented in ``docs/OBSERVABILITY.md``.
+unconverged before any step) — documented in ``docs/OBSERVABILITY.md``.
 
 One cross-registry operation exists for the serving path:
 :meth:`MetricsRegistry.merge` folds a *snapshot* of another registry

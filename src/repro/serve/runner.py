@@ -84,7 +84,6 @@ class RequestRunner:
         key = (
             request.solver,
             request.formation,
-            request.backend,
             request.threshold_sigmas,
             request.validate,
         )
@@ -93,7 +92,6 @@ class RequestRunner:
                 strategy=self.strategy,
                 num_workers=self.num_workers,
                 solver=request.solver,
-                backend=request.backend,
                 threshold_sigmas=request.threshold_sigmas,
                 formation=request.formation,
                 validate=request.validate,
@@ -105,7 +103,6 @@ class RequestRunner:
                 strategy=self.strategy,
                 num_workers=self.num_workers,
                 solver=request.solver,
-                backend=request.backend,
                 threshold_sigmas=request.threshold_sigmas,
                 formation=request.formation,
                 validate=request.validate,
@@ -178,7 +175,6 @@ class RequestRunner:
             "hour": request.hour,
             "solver": request.solver,
             "formation": request.formation,
-            "backend": request.backend,
             "strategy": self.strategy,
             "validate": request.validate,
             "batch_size": batch_size,

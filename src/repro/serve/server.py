@@ -645,7 +645,6 @@ class SolveService:
                 "serve.batch",
                 n=batch.n,
                 formation=batch.formation,
-                backend=batch.backend,
                 size=batch.size,
                 executor="subprocess",
             ):
@@ -656,7 +655,6 @@ class SolveService:
             "serve.batch",
             n=batch.n,
             formation=batch.formation,
-            backend=batch.backend,
             size=batch.size,
             cache_warm=warm,
         ):

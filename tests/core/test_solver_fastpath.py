@@ -9,11 +9,7 @@ trial costs, and agreement with the retained reference solver.
 import numpy as np
 import pytest
 
-from repro.core.solver import (
-    solve,
-    solve_nested,
-    solve_nested_reference,
-)
+from repro.core.solver import solve_nested, solve_nested_reference
 from repro.kirchhoff import forward
 from repro.observe.observer import Observer
 
@@ -93,11 +89,6 @@ class TestRobustness:
         assert np.isfinite(result.residual_norm)
         assert np.all(np.isfinite(result.r_estimate))
         assert np.all(result.r_estimate > 0)
-
-    def test_result_records_backend(self):
-        z = forward.measure(_field(4, seed=6))
-        assert solve_nested(z).backend == "numpy"
-        assert solve(z, method="nested").backend == "numpy"
 
 
 class TestReferenceAgreement:

@@ -9,7 +9,7 @@ import pytest
 from repro.core import solver as solver_mod
 from repro.core.engine import ParmaEngine
 from repro.core.regularized import solve_regularized
-from repro.core.solver import SolveResult, solve_nested
+from repro.core.solver import SolveResult, solve, solve_nested
 from repro.io.textformat import load_campaign, save_campaign
 from repro.mea.synthetic import paper_like_spec
 from repro.mea.wetlab import WetLabConfig, quick_device_data, run_campaign
@@ -99,6 +99,16 @@ class TestTerminationReasons:
                 else ("no_descent", "max_iter")
             )
             assert result.termination in expected
+
+    @pytest.mark.parametrize("method", ["bounded", "full"])
+    def test_least_squares_solvers_report_scipy_reason(self, method):
+        _, z = quick_device_data(4, seed=1)
+        result = solve(z, method=method)
+        assert result.converged
+        assert result.termination in ("gradient", "cost", "step")
+        starved = solve(z, method=method, max_nfev=1)
+        assert not starved.converged
+        assert starved.termination == "max_iter"
 
 
 class TestReasonReachesTheRecords:

@@ -116,6 +116,24 @@ class TestRoundtrip:
         assert entries[0]["count"] == 3
         assert entries[0]["p50"] == pytest.approx(0.2)
 
+    def test_stats_groups_by_n_and_solver_by_default(self, tmp_path, capsys):
+        runs = tmp_path / "by-solver"
+        for i, solver in enumerate(["nested", "nested", "bounded"]):
+            write_manifest_dir(
+                runs,
+                f"r{i}",
+                make_manifest(run_id=f"s-{i}", started=i, solver=solver),
+            )
+        db = tmp_path / "by-solver.db"
+        assert main(["runs", "ingest", str(runs), "--db", str(db)]) == 0
+        capsys.readouterr()
+        assert main(["runs", "stats", "--db", str(db), "--json"]) == 0
+        entries = json.loads(capsys.readouterr().out)
+        groups = {(e["n"], e["solver"]): e["count"] for e in entries}
+        assert groups == {(10, "nested"): 2, (10, "bounded"): 1}
+        assert all(set(e) >= {"n", "solver"} for e in entries)
+        assert not any("backend" in e for e in entries)
+
     def test_query_and_rejection(self, db, capsys):
         capsys.readouterr()
         assert main([

@@ -162,6 +162,15 @@ class TestRequestSchema:
         assert parsed.priority == PRIORITY_BATCH
         assert parsed.client_id == ""
 
+    def test_legacy_backend_key_is_ignored(self):
+        # Clients predating the removal of the solver compute knob still
+        # send "backend"; the request must decode as if it were absent.
+        legacy = Request.from_dict(
+            {"kind": "solve", "z": _z(3), "backend": "compiled"}
+        )
+        assert legacy == Request.from_dict({"kind": "solve", "z": _z(3)})
+        assert "backend" not in legacy.to_dict()
+
     def test_unknown_priority_rejected(self):
         with pytest.raises(ValueError, match="unknown priority"):
             Request.from_dict({"kind": "solve", "z": _z(3), "priority": "vip"})
