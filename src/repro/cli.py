@@ -237,7 +237,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         num_workers=args.workers,
         solver=args.solver,
         threshold_sigmas=args.threshold,
-        formation=args.formation,
         validate=args.validate,
         faults=faults,
         observer=obs,
@@ -254,7 +253,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "strategy": args.strategy,
         "workers": args.workers,
         "solver": args.solver,
-        "formation": args.formation,
         "validate": args.validate,
     }
     memory = None
@@ -345,7 +343,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         strategy=args.strategy,
         num_workers=args.workers,
         threshold_sigmas=args.threshold,
-        formation=args.formation,
         retry=retry,
         observer=obs,
         stall_timeout=args.stall_timeout,
@@ -355,7 +352,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         "timepoints": len(campaign),
         "strategy": args.strategy,
         "workers": args.workers,
-        "formation": args.formation,
         "warm_start": not args.no_warm_start,
     }
     memory = None
@@ -1502,7 +1498,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         where = f"{host}:{port}"
     print(
         f"fleet front on {where} ({args.shards} shard(s) keyed on "
-        f"(n, formation); results under {args.results}; SIGTERM drains)",
+        f"n; results under {args.results}; SIGTERM drains)",
         flush=True,
     )
     try:
@@ -1571,7 +1567,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             voltage=meas.voltage,
             hour=meas.hour,
             solver=args.solver,
-            formation=args.formation,
             threshold_sigmas=args.threshold,
             validate=args.validate,
             deadline=args.deadline,
@@ -1739,7 +1734,7 @@ def _cmd_runs_show(args: argparse.Namespace) -> int:
     print(f"run {run['run_id']} [{run['kind']}] status={run['status']}")
     knobs = ", ".join(
         f"{key}={run[key]}"
-        for key in ("n", "hour", "strategy", "workers", "solver", "formation",
+        for key in ("n", "hour", "strategy", "workers", "solver",
                     "validate", "timepoints")
         if run[key] is not None
     )
@@ -2012,10 +2007,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "(e.g. primary,regularized)")
     p_solve.add_argument("--threshold", type=float, default=3.0,
                          help="anomaly threshold in robust sigmas")
-    p_solve.add_argument("--formation", default="cached",
-                         choices=["cached", "legacy"],
-                         help="equation-formation path (template cache "
-                              "or per-pair reference)")
     p_solve.add_argument("--equations-dir", type=Path, default=None,
                          help="persist formed equations here")
     p_solve.add_argument("--field-out", type=Path, default=None,
@@ -2032,10 +2023,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["single", "parallel", "balanced",
                                 "pymp", "pymp-dynamic"])
     p_mon.add_argument("--workers", type=int, default=4)
-    p_mon.add_argument("--formation", default="cached",
-                       choices=["cached", "legacy"],
-                       help="equation-formation path (template cache "
-                            "or per-pair reference)")
     p_mon.add_argument("--threshold", type=float, default=3.0)
     p_mon.add_argument("--growth", type=float, default=0.25,
                        help="relative growth flag level")
@@ -2117,7 +2104,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "rejected retriably (exit 75 at the client)")
     p_srv.add_argument("--max-batch", type=int, default=8,
                        help="max already-queued compatible requests (same "
-                            "n, same formation) run as one formation pass")
+                            "n) run as one formation pass")
     p_srv.add_argument("--serve-workers", type=int, default=1,
                        help="executor threads (keep 1 unless solves are "
                             "short and BLAS contention is acceptable)")
@@ -2167,7 +2154,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "its manifests there")
     p_fleet.add_argument("--shards", type=int, default=2,
                          help="worker processes; requests shard by "
-                              "(n, formation) on a consistent-hash ring")
+                              "n on a consistent-hash ring")
     p_fleet.add_argument("--queue-depth", type=int, default=64,
                          help="per-shard admission bound")
     p_fleet.add_argument("--max-batch", type=int, default=8,
@@ -2222,10 +2209,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["nested", "full", "regularized", "bounded"])
     p_sub.add_argument("--lam", type=float, default=1e-3,
                        help="Tikhonov weight for --solver regularized")
-    p_sub.add_argument("--formation", default="cached",
-                       choices=["cached", "legacy"],
-                       help="equation-formation path; also the batching "
-                            "compatibility key together with n")
     p_sub.add_argument("--threshold", type=float, default=3.0,
                        help="anomaly threshold in robust sigmas")
     p_sub.add_argument("--validate", default="strict",

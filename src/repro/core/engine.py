@@ -27,6 +27,7 @@ import numpy as np
 from repro.anomaly.detect import DetectionResult, detect_anomalies
 from repro.core.solver import SolveResult, solve
 from repro.core.strategies import FormationReport, make_strategy
+from repro.core.templates import warm_template_cache
 from repro.mea.dataset import Measurement, repair_z, validate_z
 from repro.observe.observer import as_observer
 from repro.resilience.degrade import DegradationReport, solve_with_degradation
@@ -104,9 +105,6 @@ class ParmaEngine:
         ``"nested"`` (recommended) or ``"full"``.
     threshold_sigmas / min_region_size:
         Anomaly-detection knobs (see :mod:`repro.anomaly.detect`).
-    formation:
-        ``"cached"`` (default) forms equations from the per-n template
-        cache; ``"legacy"`` uses the original per-pair reference path.
     degradation:
         When True (default) the solve walks the resilience ladder
         (primary → cold-start → regularized → bounded) instead of
@@ -155,7 +153,6 @@ class ParmaEngine:
         solver: str = "nested",
         threshold_sigmas: float = 4.0,
         min_region_size: int = 1,
-        formation: str = "cached",
         degradation: bool = True,
         validate: str = "strict",
         faults=None,
@@ -166,8 +163,7 @@ class ParmaEngine:
         stall_timeout: float | None = None,
         supervise: Supervisor | None = None,
     ) -> None:
-        self._strategy = make_strategy(strategy, num_workers, formation=formation)
-        self.formation = self._strategy.formation
+        self._strategy = make_strategy(strategy, num_workers)
         self.solver = solver
         self.threshold_sigmas = threshold_sigmas
         self.min_region_size = min_region_size
@@ -288,10 +284,7 @@ class ParmaEngine:
         measurement values), but it is process-global and warms itself
         on first use.
         """
-        if self.formation == "cached":
-            from repro.core.templates import warm_template_cache
-
-            warm_template_cache(n)
+        warm_template_cache(n)
 
     def parametrize(
         self,
@@ -374,6 +367,8 @@ class ParmaEngine:
                     **(solver_kwargs or {}),
                 )
             solve_span.set(termination=solve_result.termination)
+            if solve_result.termination:
+                obs.count(f"solver.termination.{solve_result.termination}")
         obs.record_degradation(degradation)
         rlog.info(
             "parma.solved",

@@ -116,7 +116,6 @@ def run_pipeline(
     output_dir: str | Path | None = None,
     growth_threshold: float = 0.25,
     warm_start: bool = True,
-    formation: str = "cached",
     checkpoint_dir: str | Path | None = None,
     resume: bool = True,
     faults=None,
@@ -141,10 +140,6 @@ def run_pipeline(
     solve: after an unconverged timepoint the next one starts cold,
     from the uniform-field estimate, because a diverged field (one
     resistor run off to ~1e306) is a worse start than no start at all.
-
-    ``formation`` selects the equation-formation path for the default
-    engine ("cached" template fast path or the "legacy" per-pair
-    reference); it is ignored when an ``engine`` is supplied.
 
     With ``checkpoint_dir`` set, each completed timepoint is persisted
     (field + metadata, atomically, digest-protected) to a
@@ -179,7 +174,7 @@ def run_pipeline(
     (checkpointed ones included), so callers salvage instead of
     discard.
     """
-    engine = engine or ParmaEngine(formation=formation)
+    engine = engine or ParmaEngine()
     obs = as_observer(observer)
     if observer is not None:
         engine.observer = observer

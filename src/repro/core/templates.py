@@ -21,10 +21,11 @@ pattern every iteration; here it also feeds the batched path
 structure-of-arrays (:class:`PairBlockBatch`) for many pairs in single
 vectorised numpy operations.
 
-The legacy per-pair implementation stays as the reference: templates
-are *built from it* (probe pair ``(0, 0)``, unit drive), and the
-property tests assert the stamped output is bit-identical to it for
-every pair and category subset.
+The per-pair :func:`~repro.core.equations.form_pair_block` stays only
+as the reference: templates are *built from it* (probe pair
+``(0, 0)``, unit drive), and the property tests use it as the oracle
+that the stamped output is bit-identical to, for every pair and
+category subset.  Every formation path in the package stamps.
 
 Encoding of the per-pair resistor indices
 -----------------------------------------
@@ -62,19 +63,6 @@ from repro.core.equations import (
     form_pair_block,
 )
 from repro.utils.validation import require_positive, require_positive_int
-
-#: Valid values for the ``formation=`` knob threaded through the
-#: strategies, streaming, distributed and engine layers.
-FORMATION_MODES = ("cached", "legacy")
-
-
-def check_formation_mode(formation: str) -> str:
-    if formation not in FORMATION_MODES:
-        raise ValueError(
-            f"unknown formation mode {formation!r}; use 'cached' or 'legacy'"
-        )
-    return formation
-
 
 @dataclass(frozen=True)
 class PairTemplate:
@@ -494,13 +482,15 @@ _ITER_CHUNK_TERMS = 1 << 21
 
 
 def iter_pair_batches(
-    z: np.ndarray, voltage: float = 5.0
+    z: np.ndarray, voltage: float = 5.0, start: int = 0
 ) -> Iterator[PairBlockBatch]:
     """Row-major device coverage as bounded-size batches.
 
     Each batch holds at most ``~_ITER_CHUNK_TERMS`` terms, so peak
     transient memory is independent of device size (the streaming-mode
     guarantee) while every fill stays a single vectorised operation.
+    Coverage begins at flat pair index ``start`` (``row * n + col``),
+    so a resumed stream stamps only the pairs it still needs.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[0] != z.shape[1]:
@@ -508,11 +498,11 @@ def iter_pair_batches(
     n = z.shape[0]
     tpl = get_template(n)
     chunk = max(1, _ITER_CHUNK_TERMS // tpl.num_terms)
-    num_pairs = n * n
-    flat_rows = np.arange(num_pairs, dtype=np.intp) // n
-    flat_cols = np.arange(num_pairs, dtype=np.intp) % n
-    flat_z = z.ravel()
-    for s in range(0, num_pairs, chunk):
+    flat = np.arange(start, n * n, dtype=np.intp)
+    flat_rows = flat // n
+    flat_cols = flat % n
+    flat_z = z.ravel()[start:]
+    for s in range(0, len(flat), chunk):
         yield tpl.stamp_batch(
             flat_rows[s : s + chunk],
             flat_cols[s : s + chunk],
@@ -550,7 +540,7 @@ def form_worker_share(
     :func:`form_all_pairs` call each — while ``placement`` maps every
     item index back to ``(category, position)`` so callers can emit
     blocks in the original deterministic item order (part files stay
-    byte-identical to the legacy path).
+    byte-identical to the reference per-pair former).
     """
     by_cat: dict[Category, list[int]] = {}
     for idx in item_indices:

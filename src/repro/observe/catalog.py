@@ -169,7 +169,8 @@ def flatten_manifest(manifest: dict, source_path: str | None = None) -> dict:
         "workers": _int(config.get("workers")),
         "solver": config.get("solver"),
         # Historical: only manifests from before the solver compute
-        # knob was removed carry this key; newer rows store NULL.
+        # and formation-path knobs were removed carry these keys;
+        # newer rows store NULL.
         "backend": config.get("backend"),
         "formation": config.get("formation"),
         "validate": config.get("validate"),

@@ -32,7 +32,9 @@ histogram), ``solver.gn.refine_fallbacks`` (float32 step factorisation
 abandoned for double precision), ``solver.gn.lm_rescues`` (line search
 exhausted, Levenberg normal equations assembled) and
 ``solver.gn.singular_exits`` (a dead Jacobian column ended the solve
-unconverged before any step) — documented in ``docs/OBSERVABILITY.md``.
+unconverged before any step) and ``solver.termination.<reason>`` (one
+count per engine solve, named by ``SolveResult.termination``) —
+documented in ``docs/OBSERVABILITY.md``.
 
 One cross-registry operation exists for the serving path:
 :meth:`MetricsRegistry.merge` folds a *snapshot* of another registry

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import json
 import time
 from dataclasses import dataclass
@@ -35,12 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.equations import iter_pair_blocks
-from repro.core.templates import (
-    check_formation_mode,
-    get_template,
-    iter_pair_blocks_cached,
-)
+from repro.core.templates import get_template, iter_pair_batches
 from repro.io.equations_io import read_blocks_binary, write_block_binary
 from repro.resilience.atomio import atomic_write_bytes, atomic_write_json
 from repro.resilience.faults import FaultInjector, as_injector
@@ -315,7 +311,6 @@ def stream_to_file_checkpointed(
     z: np.ndarray,
     directory: str | Path,
     voltage: float = 5.0,
-    formation: str = "cached",
     faults: "FaultInjector | None" = None,
     flush_every: int = 16,
 ) -> tuple["StreamCheckpoint", StreamResumeReport, int]:
@@ -323,7 +318,8 @@ def stream_to_file_checkpointed(
 
     Returns ``(checkpoint, resume_report, blocks_formed_this_run)``.
     Calling it again on the same directory verifies the on-disk prefix
-    and forms only what is missing or corrupt; a completed, fully
+    and stamps only what is missing or corrupt, starting at the first
+    unverified pair; a completed, fully
     verified directory is a no-op.  ``faults`` may corrupt/drop blocks
     or abort mid-stream — exactly the failures resume must survive.
     """
@@ -332,7 +328,6 @@ def stream_to_file_checkpointed(
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[0] != z.shape[1]:
         raise ValueError("z must be square (n, n)")
-    formation = check_formation_mode(formation)
     injector = as_injector(faults)
     obs = get_observer()
     n = int(z.shape[0])
@@ -363,7 +358,7 @@ def stream_to_file_checkpointed(
         if cp.data_path.exists():
             cp.data_path.unlink()
         cp.blocks = []
-        cp.params = {"n": n, "voltage": float(voltage), "formation": formation}
+        cp.params = {"n": n, "voltage": float(voltage)}
         cp.complete = False
         cp._write_manifest()
 
@@ -374,10 +369,8 @@ def stream_to_file_checkpointed(
         return cp, report, 0
 
     expected_table = get_template(n).checksum_table
-    blocks = (
-        iter_pair_blocks_cached(z, voltage=voltage)
-        if formation == "cached"
-        else iter_pair_blocks(z, voltage=voltage)
+    blocks = itertools.chain.from_iterable(
+        iter_pair_batches(z, voltage=voltage, start=start_block)
     )
     formed = 0
     unflushed = 0
@@ -385,9 +378,7 @@ def stream_to_file_checkpointed(
         "checkpoint.stream", n=n, start_block=start_block, total_blocks=total_blocks
     ), open(cp.data_path, "ab") as fh:
         offset = fh.tell()
-        for k, block in enumerate(blocks):
-            if k < start_block:
-                continue
+        for k, block in enumerate(blocks, start=start_block):
             victim = block if injector is None else injector.mangle_block(block, k)
             if victim is None:
                 continue  # dropped: the journal gap is caught on resume

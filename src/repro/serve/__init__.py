@@ -6,9 +6,9 @@ the Laplacian pseudo-inverse — on *every* invocation.  ``repro.serve``
 turns the reproduction into a long-lived local service instead: a
 :class:`SolveService` listens on a unix-domain socket, admits requests
 through a priority-aware bounded queue, coalesces compatible ones —
-same device side ``n``, same formation mode — into one formation pass
-per batch, and executes them on a crash-isolated pool of forked
-executor workers whose engine caches stay warm across requests.
+same device side ``n`` — into one formation pass per batch, and
+executes them on a crash-isolated pool of forked executor workers
+whose engine caches stay warm across requests.
 
 The pieces, each its own module:
 

@@ -1,9 +1,8 @@
 """Request batching: coalesce compatible requests into one formation pass.
 
 Two requests are *compatible* — and may share a batch — when they
-agree on everything the formation stage and engine pool depend on: the
-device side ``n`` and the formation mode (``cached``/``legacy``).  A
-batch then pays the per-``n`` template lookup, the Jacobian-structure
+agree on what the formation stage depends on: the device side ``n``.
+A batch then pays the per-``n`` template lookup, the Jacobian-structure
 derivation and the Laplacian-pinv factorisation once, and every member
 after the first is stamped/solved against warm caches (the measured
 win is the ``serve.latency.{cold,warm}`` histogram split; see
@@ -38,27 +37,18 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
 MAX_BATCH_LIMIT = 256
 
 
-def batch_key(request: "Request") -> tuple[int, str]:
-    """The compatibility key ``(n, formation)`` for one request."""
-    return (request.n, request.formation)
+def batch_key(request: "Request") -> int:
+    """The compatibility key for one request: its device side ``n``."""
+    return request.n
 
 
 @dataclass(frozen=True)
 class Batch:
     """An ordered group of compatible tickets executed as one pass."""
 
-    key: tuple[int, str]
+    #: Device side length shared by every member (the batch key).
+    n: int
     tickets: tuple[Ticket, ...]
-
-    @property
-    def n(self) -> int:
-        """Device side length shared by every member."""
-        return self.key[0]
-
-    @property
-    def formation(self) -> str:
-        """Formation mode shared by every member."""
-        return self.key[1]
 
     @property
     def size(self) -> int:
@@ -98,4 +88,4 @@ class Batcher:
         followers = self.queue.take_matching(
             lambda req: batch_key(req) == key, self.max_batch - 1
         )
-        return Batch(key=key, tickets=(head, *followers))
+        return Batch(n=key, tickets=(head, *followers))

@@ -431,9 +431,7 @@ def _child_main(
             board.tick(slot)
             if index == 0:
                 # Warmth is a property of *this child's* caches.
-                warm_head = request.formation != "cached" or has_template(
-                    request.n
-                )
+                warm_head = has_template(request.n)
             if faults is not None:
                 faults.on_serve_request(ordinal, generation)
             response = runner.run(

@@ -10,8 +10,8 @@ solve to one of ``shards`` worker processes, each running a full
 
 Design decisions worth knowing:
 
-* **Sharding key is ``(n, formation)``** — the same key the service
-  batches on — routed through a consistent-hash ring
+* **Sharding key is the device side ``n``** — the same key the
+  service batches on — routed through a consistent-hash ring
   (:class:`ShardMap`).  Everything expensive the serve path reuses
   (per-``n`` formation templates, Laplacian factor LRU, Jacobian
   structure) is keyed by device size, so pinning a size to a shard
@@ -121,9 +121,9 @@ class ShardMap:
         )
 
     @staticmethod
-    def route_key(n: int, formation: str) -> str:
-        """The routing key: device size and formation mode."""
-        return f"{int(n)}/{formation}"
+    def route_key(n: int) -> str:
+        """The routing key: the device side length."""
+        return str(int(n))
 
     def preference(self, key: str) -> list[int]:
         """All shards in ring order from ``key`` (each exactly once)."""
@@ -137,11 +137,9 @@ class ShardMap:
                     break
         return seen
 
-    def shard_for(
-        self, n: int, formation: str, alive: set[int] | None = None
-    ) -> int | None:
+    def shard_for(self, n: int, alive: set[int] | None = None) -> int | None:
         """The first (live, if ``alive`` given) shard for a key."""
-        for shard in self.preference(self.route_key(n, formation)):
+        for shard in self.preference(self.route_key(n)):
             if alive is None or shard in alive:
                 return shard
         return None
@@ -766,7 +764,7 @@ class SolveFleet:
             message["id"] = request.id = (
                 f"fleet-{os.getpid():x}-{ordinal:08x}"
             )
-        key = self.map.route_key(request.n, request.formation)
+        key = self.map.route_key(request.n)
         self._maybe_inject_fault(ordinal, key)
         preference = self.map.preference(key)
         attempts = 0

@@ -141,7 +141,6 @@ class Request:
     voltage: float = 5.0
     hour: float = 0.0
     solver: str = "nested"
-    formation: str = "cached"
     threshold_sigmas: float = 3.0
     validate: str = "strict"
     deadline: float | None = None
@@ -174,7 +173,6 @@ class Request:
             "voltage": self.voltage,
             "hour": self.hour,
             "solver": self.solver,
-            "formation": self.formation,
             "threshold_sigmas": self.threshold_sigmas,
             "validate": self.validate,
             "deadline": self.deadline,
@@ -206,7 +204,6 @@ class Request:
             voltage=float(message.get("voltage", 5.0)),
             hour=float(message.get("hour", 0.0)),
             solver=str(message.get("solver", "nested")),
-            formation=str(message.get("formation", "cached")),
             threshold_sigmas=float(message.get("threshold_sigmas", 3.0)),
             validate=str(message.get("validate", "strict")),
             deadline=(

@@ -81,19 +81,13 @@ class RequestRunner:
         (templates, pinv LRU, Jacobian structure) is process-global
         either way.
         """
-        key = (
-            request.solver,
-            request.formation,
-            request.threshold_sigmas,
-            request.validate,
-        )
+        key = (request.solver, request.threshold_sigmas, request.validate)
         if deadline is not None or not self.pool_engines:
             return ParmaEngine(
                 strategy=self.strategy,
                 num_workers=self.num_workers,
                 solver=request.solver,
                 threshold_sigmas=request.threshold_sigmas,
-                formation=request.formation,
                 validate=request.validate,
                 deadline=deadline,
             )
@@ -104,7 +98,6 @@ class RequestRunner:
                 num_workers=self.num_workers,
                 solver=request.solver,
                 threshold_sigmas=request.threshold_sigmas,
-                formation=request.formation,
                 validate=request.validate,
             )
             self._engines[key] = engine
@@ -174,7 +167,6 @@ class RequestRunner:
             "n": request.n,
             "hour": request.hour,
             "solver": request.solver,
-            "formation": request.formation,
             "strategy": self.strategy,
             "validate": request.validate,
             "batch_size": batch_size,

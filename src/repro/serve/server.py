@@ -644,17 +644,15 @@ class SolveService:
             with self.observer.span(
                 "serve.batch",
                 n=batch.n,
-                formation=batch.formation,
                 size=batch.size,
                 executor="subprocess",
             ):
                 self.pool.run_batch(rank, list(batch.tickets))
             return
-        warm = batch.formation != "cached" or has_template(batch.n)
+        warm = has_template(batch.n)
         with self.observer.span(
             "serve.batch",
             n=batch.n,
-            formation=batch.formation,
             size=batch.size,
             cache_warm=warm,
         ):

@@ -1,9 +1,12 @@
 """Tests for MPI-style distributed formation and streaming formation."""
 
+import io
+
 import numpy as np
 import pytest
 
 from repro.core.distributed import MPIFormation
+from repro.core.equations import iter_pair_blocks
 from repro.core.streaming import (
     BinaryFileSink,
     CountingSink,
@@ -13,7 +16,7 @@ from repro.core.streaming import (
     stream_to_file,
 )
 from repro.core.strategies import SingleThread
-from repro.io.equations_io import load_blocks_binary
+from repro.io.equations_io import load_blocks_binary, write_block_binary
 from repro.mea.wetlab import quick_device_data
 
 
@@ -80,6 +83,11 @@ class TestStreaming:
         assert nbytes == path.stat().st_size
         blocks = load_blocks_binary(path)
         assert sum(b.num_terms for b in blocks) == baseline6.terms_formed
+        # Byte-identical to the per-pair reference former, row-major.
+        oracle = io.BytesIO()
+        for block in iter_pair_blocks(z):
+            write_block_binary(block, oracle)
+        assert path.read_bytes() == oracle.getvalue()
 
     def test_tee_sink(self, device6, tmp_path):
         _, z = device6

@@ -1,9 +1,13 @@
 """Tests for the four formation strategies (real forked execution)."""
 
+import io
+
 import numpy as np
 import pytest
 
 from repro.core.categories import total_terms
+from repro.core.distributed import MPIFormation
+from repro.core.equations import form_pair_block, iter_pair_blocks
 from repro.core.strategies import (
     BalancedParallel,
     ParallelStrategy,
@@ -13,8 +17,12 @@ from repro.core.strategies import (
     item_costs_seconds,
     make_strategy,
 )
-from repro.core.partition import partition_balanced
-from repro.io.equations_io import load_blocks_binary
+from repro.core.partition import (
+    partition_balanced,
+    partition_betti,
+    partition_by_category,
+)
+from repro.io.equations_io import load_blocks_binary, write_block_binary
 from repro.mea.wetlab import quick_device_data
 
 
@@ -147,46 +155,69 @@ class TestFactoryAndCalibration:
         assert costs.sum() == pytest.approx(total_terms(6) * 1e-7)
 
 
+def _oracle_bytes(z, partition=None):
+    """Expected bytes per part file, written by the reference former.
+
+    ``partition=None`` is the serial row-major stream (one part); else
+    one part per worker (or MPI rank), its items in partition order —
+    the order every strategy and rank writes in.
+    """
+    n = z.shape[0]
+    if partition is None:
+        buf = io.BytesIO()
+        for block in iter_pair_blocks(z):
+            write_block_binary(block, buf)
+        return [buf.getvalue()]
+    parts = []
+    for worker in range(partition.num_workers):
+        buf = io.BytesIO()
+        for idx in np.flatnonzero(partition.worker_of == worker):
+            item = partition.items[idx]
+            block = form_pair_block(
+                n,
+                item.row,
+                item.col,
+                z[item.row, item.col],
+                categories=[item.category],
+            )
+            write_block_binary(block, buf)
+        parts.append(buf.getvalue())
+    return parts
+
+
+def _read_all(paths):
+    out = []
+    for path in paths:
+        with open(path, "rb") as fh:
+            out.append(fh.read())
+    return out
+
+
 class TestFormationModes:
+    """Template-stamped output against the per-pair reference oracle."""
+
     @pytest.mark.parametrize(
         "make",
         [
-            lambda f: SingleThread(formation=f),
-            lambda f: ParallelStrategy(formation=f),
-            lambda f: BalancedParallel(3, formation=f),
-            lambda f: PyMPStrategy(3, formation=f),
+            lambda n: (SingleThread(), None),
+            lambda n: (ParallelStrategy(), partition_by_category(n)),
+            lambda n: (BalancedParallel(3), partition_balanced(n, 3)),
+            lambda n: (PyMPStrategy(3), partition_betti(n, 3)),
+            lambda n: (MPIFormation(3), partition_betti(n, 3)),
         ],
     )
     def test_cached_part_files_byte_identical_to_legacy(
         self, make, device8, tmp_path
     ):
         _, z = device8
-        cached_dir = tmp_path / "cached"
-        legacy_dir = tmp_path / "legacy"
-        rc = make("cached").run(z, output_dir=cached_dir)
-        rl = make("legacy").run(z, output_dir=legacy_dir)
-        assert rc.terms_formed == rl.terms_formed
-        assert rc.checksum == rl.checksum
-        assert [p.rsplit("/", 1)[-1] for p in rc.part_files] == [
-            p.rsplit("/", 1)[-1] for p in rl.part_files
-        ]
-        for pc, pl in zip(rc.part_files, rl.part_files):
-            with open(pc, "rb") as fc, open(pl, "rb") as fl:
-                assert fc.read() == fl.read()
+        strategy, partition = make(z.shape[0])
+        report = strategy.run(z, output_dir=tmp_path)
+        assert _read_all(report.part_files) == _oracle_bytes(z, partition)
+        assert report.terms_formed == total_terms(z.shape[0])
 
     def test_dynamic_schedule_totals_match(self, device8):
         _, z = device8
-        rc = PyMPStrategy(2, schedule="dynamic", formation="cached").run(z)
-        rl = PyMPStrategy(2, schedule="dynamic", formation="legacy").run(z)
-        assert rc.terms_formed == rl.terms_formed
-        assert rc.checksum == rl.checksum
-
-    def test_make_strategy_threads_formation(self):
-        assert make_strategy("single", formation="legacy").formation == "legacy"
-        assert make_strategy("pymp", 2).formation == "cached"
-        with pytest.raises(ValueError):
-            make_strategy("single", formation="nope")
-
-    def test_calibration_cached_mode(self):
-        assert calibrate_sec_per_term(6, sample_pairs=4,
-                                      formation="cached") > 0
+        report = PyMPStrategy(2, schedule="dynamic").run(z)
+        blocks = list(iter_pair_blocks(z))
+        assert report.terms_formed == sum(b.num_terms for b in blocks)
+        assert report.checksum == sum(b.checksum() for b in blocks)

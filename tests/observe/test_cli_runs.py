@@ -35,6 +35,33 @@ class TestProducerWiring:
         assert rows[0]["status"] == "ok"
         assert rows[0]["bench"] == "solver"
 
+    def test_solve_catalogs_termination_counter(
+        self, campaign_file, tmp_path, capsys
+    ):
+        db = tmp_path / "cat.db"
+        run_dir = tmp_path / "run"
+        assert main([
+            "solve", str(campaign_file), "--strategy", "single",
+            "--trace", str(run_dir), "--catalog", str(db),
+        ]) == 0
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        reasons = [
+            name for name in manifest["metrics"]
+            if name.startswith("solver.termination.")
+        ]
+        assert len(reasons) == 1
+        assert manifest["metrics"][reasons[0]]["value"] == 1
+        capsys.readouterr()
+        assert main([
+            "runs", "query",
+            "SELECT name, value FROM metrics "
+            "WHERE name LIKE 'solver.termination.%'",
+            "--db", str(db), "--json",
+        ]) == 0
+        assert json.loads(capsys.readouterr().out) == [
+            {"name": reasons[0], "value": 1}
+        ]
+
     def test_catalog_requires_trace(self, campaign_file, tmp_path, capsys):
         code = main([
             "solve", str(campaign_file), "--strategy", "single",

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.engine import ParmaEngine
 from repro.core.streaming import stream_to_file
+from repro.core.templates import PairTemplate
 from repro.mea.dataset import Measurement
 from repro.mea.wetlab import quick_device_data
 from repro.resilience.checkpoint import (
@@ -119,6 +120,14 @@ class TestStreamCheckpoint:
         assert report.blocks_verified == 7
         assert "checksum mismatch" in report.first_bad_reason
 
+        # Checkpoints written while a formation-path knob existed carry
+        # it in their params; compatibility checks only n and voltage,
+        # so such a directory still resumes from its verified prefix.
+        manifest_path = sdir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["params"]["formation"] = "legacy"
+        manifest_path.write_text(json.dumps(manifest))
+
         cp, report, formed = stream_to_file_checkpointed(z5, sdir)
         assert cp.complete
         assert report.blocks_discarded > 0
@@ -154,6 +163,36 @@ class TestStreamCheckpoint:
         cp, report, formed = stream_to_file_checkpointed(z5, sdir)
         assert cp.complete
         assert formed == 25 - report.blocks_verified
+        assert (sdir / "equations.bin").read_bytes() == (
+            self._reference_bytes(z5, tmp_path)
+        )
+
+    def test_resume_stamps_only_unverified_pairs(
+        self, tmp_path, z5, monkeypatch
+    ):
+        sdir = tmp_path / "s"
+        with pytest.raises(InjectedAbort):
+            stream_to_file_checkpointed(
+                z5, sdir, faults=FaultPlan(abort_after_blocks=11), flush_every=4
+            )
+        verified = verify_stream_directory(sdir).blocks_verified
+        assert 0 < verified < 25
+
+        stamped = []
+        real_stamp_batch = PairTemplate.stamp_batch
+
+        def counting_stamp_batch(self, rows, cols, z, voltage=5.0):
+            stamped.extend(zip(rows.tolist(), cols.tolist()))
+            return real_stamp_batch(self, rows, cols, z, voltage=voltage)
+
+        monkeypatch.setattr(PairTemplate, "stamp_batch", counting_stamp_batch)
+        cp, report, formed = stream_to_file_checkpointed(z5, sdir)
+        monkeypatch.undo()
+
+        assert report.blocks_verified == verified
+        assert len(stamped) == formed == 25 - verified
+        assert stamped[0] == divmod(verified, 5)
+        assert cp.complete
         assert (sdir / "equations.bin").read_bytes() == (
             self._reference_bytes(z5, tmp_path)
         )

@@ -80,36 +80,33 @@ class TestShardMap:
     def test_deterministic_across_instances(self):
         a, b = ShardMap(4), ShardMap(4)
         for n in (8, 10, 12, 16, 24):
-            for formation in ("geodesic", "direct"):
-                key = a.route_key(n, formation)
-                assert a.shard_for(n, formation) == b.shard_for(n, formation)
-                assert list(a.preference(key)) == list(b.preference(key))
+            key = a.route_key(n)
+            assert a.shard_for(n) == b.shard_for(n)
+            assert list(a.preference(key)) == list(b.preference(key))
 
     def test_preference_covers_every_shard_once(self):
         ring = ShardMap(5)
-        key = ring.route_key(12, "geodesic")
+        key = ring.route_key(12)
         order = list(ring.preference(key))
         assert sorted(order) == list(range(5))
-        assert order[0] == ring.shard_for(12, "geodesic")
+        assert order[0] == ring.shard_for(12)
 
     def test_keys_spread_over_shards(self):
         ring = ShardMap(4)
-        hit = {ring.shard_for(n, "geodesic") for n in range(4, 64)}
+        hit = {ring.shard_for(n) for n in range(4, 64)}
         assert hit == set(range(4))
 
     def test_resize_moves_a_minority_of_keys(self):
         # Consistent hashing's point: growing 4 -> 5 shards should
         # remap roughly 1/5 of keys, not reshuffle everything.
         before, after = ShardMap(4), ShardMap(5)
-        keys = [(n, f) for n in range(4, 104) for f in ("geodesic", "direct")]
-        moved = sum(
-            before.shard_for(n, f) != after.shard_for(n, f) for n, f in keys
-        )
+        keys = range(4, 204)
+        moved = sum(before.shard_for(n) != after.shard_for(n) for n in keys)
         assert moved < len(keys) // 2
 
     def test_dead_shard_skipped(self):
         ring = ShardMap(3)
-        assert ring.shard_for(8, "geodesic", alive={1}) == 1
+        assert ring.shard_for(8, alive={1}) == 1
 
     def test_invalid_shard_count(self):
         with pytest.raises(ValueError):
@@ -310,7 +307,7 @@ class TestFleetProcesses:
             assert client.wait_ready(timeout=10.0)
             assert client.solve(measurement.z_kohm, id="before").ok
 
-            home = f.map.shard_for(8, "geodesic")
+            home = f.map.shard_for(8)
             victim = f._shards[home].pid
             assert victim is not None
             os.kill(victim, signal.SIGKILL)

@@ -163,13 +163,14 @@ class TestRequestSchema:
         assert parsed.client_id == ""
 
     def test_legacy_backend_key_is_ignored(self):
-        # Clients predating the removal of the solver compute knob still
-        # send "backend"; the request must decode as if it were absent.
-        legacy = Request.from_dict(
-            {"kind": "solve", "z": _z(3), "backend": "compiled"}
-        )
-        assert legacy == Request.from_dict({"kind": "solve", "z": _z(3)})
-        assert "backend" not in legacy.to_dict()
+        # Clients predating the removal of the solver compute knob and
+        # of the formation-path knob still send "backend" / "formation";
+        # the request must decode as if the key were absent.  (One test
+        # over both stale keys, so its id stays stable.)
+        for key, value in (("backend", "compiled"), ("formation", "legacy")):
+            legacy = Request.from_dict({"kind": "solve", "z": _z(3), key: value})
+            assert legacy == Request.from_dict({"kind": "solve", "z": _z(3)})
+            assert key not in legacy.to_dict()
 
     def test_unknown_priority_rejected(self):
         with pytest.raises(ValueError, match="unknown priority"):

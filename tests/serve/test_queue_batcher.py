@@ -26,14 +26,12 @@ from repro.serve.queue import (
 
 def _request(
     n: int = 4,
-    formation: str = "cached",
     rid: str | None = None,
     priority: str = PRIORITY_BATCH,
     client_id: str = "",
 ):
     return Request(
         z=[[1000.0] * n for _ in range(n)],
-        formation=formation,
         id=rid,
         priority=priority,
         client_id=client_id,
@@ -332,8 +330,8 @@ class TestTakeMatchingFairness:
 
 class TestBatcher:
     def test_batch_key(self):
-        assert batch_key(_request(n=4)) == (4, "cached")
-        assert batch_key(_request(n=4, formation="legacy")) == (4, "legacy")
+        assert batch_key(_request(n=4)) == 4
+        assert batch_key(_request(n=5)) == 5
 
     def test_coalesces_same_key(self):
         queue = AdmissionQueue(max_depth=16)
@@ -342,9 +340,8 @@ class TestBatcher:
             queue.submit(_request(n=4, rid=rid))
         batch = batcher.next_batch(timeout=1.0)
         assert isinstance(batch, Batch)
-        assert batch.key == (4, "cached")
         assert [t.request.id for t in batch.tickets] == ["a", "b", "c"]
-        assert batch.size == 3 and batch.n == 4 and batch.formation == "cached"
+        assert batch.size == 3 and batch.n == 4
 
     def test_different_keys_stay_separate(self):
         queue = AdmissionQueue(max_depth=16)
@@ -352,14 +349,11 @@ class TestBatcher:
         queue.submit(_request(n=4, rid="a"))
         queue.submit(_request(n=5, rid="x"))
         queue.submit(_request(n=4, rid="b"))
-        queue.submit(_request(n=4, formation="legacy", rid="c"))
         first = batcher.next_batch(timeout=1.0)
         assert [t.request.id for t in first.tickets] == ["a", "b"]
         second = batcher.next_batch(timeout=1.0)
         assert [t.request.id for t in second.tickets] == ["x"]
-        third = batcher.next_batch(timeout=1.0)
-        assert [t.request.id for t in third.tickets] == ["c"]
-        assert third.formation == "legacy"
+        assert second.n == 5
 
     def test_max_batch_cap(self):
         queue = AdmissionQueue(max_depth=16)
