@@ -24,18 +24,15 @@ strategies' exact per-item costs into the calibrated cluster model
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from repro.core.categories import Category
 from repro.core.equations import form_pair_block
 from repro.core.partition import (
     Partition,
-    WorkItem,
     partition_balanced,
     partition_betti,
     partition_by_category,

@@ -19,7 +19,7 @@ the supervision layer's answer to membership churn:
   many times a chunk bounced between workers.
 * :class:`ElasticPool` — a forked worker set that can *grow and
   shrink mid-campaign*.  New workers register fresh rows on a growable
-  :class:`repro.resilience.supervise.HeartbeatBoard`; removed workers
+  :class:`repro.resilience.workers.HeartbeatBoard`; removed workers
   drain their current lease at a chunk (checkpoint) boundary before
   exiting; a worker whose lease expires on the heartbeat watchdog is
   killed *first* and re-enqueued *second* (never two writers on one
@@ -43,15 +43,10 @@ up in run manifests and the catalog (docs/OBSERVABILITY.md).
 from __future__ import annotations
 
 import math
-import os
-import pickle
 import select
-import signal
-import struct
 import time
-import traceback
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -65,7 +60,7 @@ from repro.core.templates import (
 )
 from repro.io.equations_io import write_block_binary
 from repro.observe.observer import as_observer
-from repro.parallel import pymp
+from repro.parallel import codec, pymp
 from repro.parallel.simcluster import (
     HPC_FDR,
     ClusterModel,
@@ -81,7 +76,8 @@ from repro.parallel.workstealing import (
 )
 from repro.resilience.atomio import AtomicFile
 from repro.resilience.faults import as_injector
-from repro.resilience.supervise import Deadline, HeartbeatBoard, kill_process
+from repro.resilience.supervise import Deadline
+from repro.resilience.workers import Child, HeartbeatBoard, WorkerGroup
 
 __all__ = [
     "ElasticError",
@@ -299,32 +295,6 @@ class WorkLedger:
         return chunk_id
 
 
-# -- pipe protocol ------------------------------------------------------------
-
-_LEN = struct.Struct(">I")
-
-
-def _send_msg(fd: int, obj) -> None:
-    data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    os.write(fd, _LEN.pack(len(data)) + data)
-
-
-def _read_exact(fd: int, count: int) -> bytes:
-    parts: list[bytes] = []
-    while count:
-        part = os.read(fd, count)
-        if not part:
-            raise EOFError("pipe closed mid-message")
-        parts.append(part)
-        count -= len(part)
-    return b"".join(parts)
-
-
-def _recv_msg(fd: int):
-    (length,) = _LEN.unpack(_read_exact(fd, _LEN.size))
-    return pickle.loads(_read_exact(fd, length))
-
-
 # -- the elastic pool ---------------------------------------------------------
 
 
@@ -348,36 +318,25 @@ class WorkerContext:
 
 
 @dataclass
-class _Worker:
-    worker_id: int
-    pid: int
-    slot: int
-    row: int
-    req_w: int  # parent -> child commands
-    res_r: int  # child -> parent results
-    draining: bool = False
-    exiting: bool = False
-
-
-@dataclass
 class _Slot:
     index: int
     active: bool = True
     quarantined: bool = False
     losses: int = 0
-    handle: _Worker | None = None
 
 
 class ElasticPool:
     """A forked worker pool whose membership can change mid-campaign.
 
     ``runner(chunk, ctx)`` executes inside the child and returns
-    ``(terms, checksum, bytes_written)`` for ledger verification.
-    Workers get monotonically increasing ids starting at 1 (0 is the
-    parent, per the :mod:`repro.resilience.faults` convention) and one
-    :class:`HeartbeatBoard` row each — respawns and joins get *fresh*
-    ids and fresh rows via :meth:`HeartbeatBoard.grow`, always
-    allocated in the parent before the fork.
+    ``(terms, checksum, bytes_written)`` for ledger verification.  The
+    workers are one :class:`repro.resilience.workers.WorkerGroup`:
+    worker ids are the group's spawn numbers, starting at 1 (0 is the
+    parent, per the :mod:`repro.resilience.faults` convention), and
+    respawns and joins get *fresh* ids and fresh heartbeat rows.  The
+    pool adds the policy: leases, the lease watchdog, quarantine and
+    resize.  Commands and results travel as pickle frames
+    (:mod:`repro.parallel.codec`) on each worker's channel.
     """
 
     def __init__(
@@ -411,18 +370,19 @@ class ElasticPool:
         self.injector = as_injector(faults)
         self.observer = observer
         self.deadline = Deadline.coerce(deadline)
-        self.board = HeartbeatBoard(workers)
-        self._next_row = 0
-        self._next_worker_id = 1
+        self.group = WorkerGroup(
+            workers,
+            self._child_main,
+            term_grace=term_grace,
+            poll_interval=poll_interval,
+        )
         self._slots: list[_Slot] = [_Slot(index=i) for i in range(workers)]
-        self._live: list[_Worker] = []
         self._running = False
         self._ran = False
         # lifetime stats (the report and the manifest read these)
         self.leases_reassigned = 0
         self.pool_resizes = 0
         self.quarantined_slots = 0
-        self.workers_spawned = 0
         self.workers_respawned = 0
 
     # -- sizing --------------------------------------------------------------
@@ -433,16 +393,16 @@ class ElasticPool:
         return sum(1 for s in self._slots if s.active and not s.quarantined)
 
     @property
-    def live_workers(self) -> int:
-        return sum(1 for w in self._live if not w.draining)
+    def workers_spawned(self) -> int:
+        return self.group.spawned
 
     def resize(self, new_size: int) -> None:
         """Grow or shrink the pool; safe to call mid-campaign.
 
         Growth spawns workers into fresh (or vacated, non-quarantined)
-        slots with new board rows.  Shrinkage marks the highest-index
-        live workers *draining*: each finishes its current lease, then
-        exits cleanly at the next chunk boundary.
+        slots.  Shrinkage drains the highest-index live workers: each
+        finishes its current lease, then exits cleanly at the chunk
+        boundary.
         """
         if new_size < 0:
             raise ValueError(f"new_size must be >= 0, got {new_size}")
@@ -458,11 +418,9 @@ class ElasticPool:
                 slot = self._vacant_slot()
                 slot.active = True
                 if self._running:
-                    self._spawn(slot)
+                    child = self.group.spawn(slot.index)
                     obs.event(
-                        "elastic.worker_joined",
-                        worker=slot.handle.worker_id,
-                        slot=slot.index,
+                        "elastic.worker_joined", worker=child.ident, slot=slot.index
                     )
                     obs.count("elastic.worker_joined")
         else:
@@ -473,8 +431,9 @@ class ElasticPool:
             ][new_size:]
             for slot in victims:
                 slot.active = False
-                if slot.handle is not None:
-                    slot.handle.draining = True
+                child = self.group.current(slot.index)
+                if child is not None:
+                    self.group.drain(child)
 
     def _vacant_slot(self) -> _Slot:
         for slot in self._slots:
@@ -484,91 +443,45 @@ class ElasticPool:
         self._slots.append(slot)
         return slot
 
-    # -- spawning ------------------------------------------------------------
-
-    def _alloc_row(self) -> int:
-        if self._next_row < self.board.workers:
-            row = self._next_row
-        else:
-            row = self.board.grow(1)
-        self._next_row = row + 1
-        return row
-
-    def _spawn(self, slot: _Slot) -> _Worker:
-        worker_id = self._next_worker_id
-        self._next_worker_id += 1
-        row = self._alloc_row()  # pre-fork: the child inherits the mapping
-        req_r, req_w = os.pipe()
-        res_r, res_w = os.pipe()
-        pid = os.fork()
-        if pid == 0:  # pragma: no cover - child process, exits via os._exit
-            os.close(req_w)
-            os.close(res_r)
-            for other in self._live:
-                for fd in (other.req_w, other.res_r):
-                    try:
-                        os.close(fd)
-                    except OSError:
-                        pass
-            self._child_main(worker_id, row, req_r, res_w)
-            os._exit(0)  # unreachable; _child_main always exits
-        os.close(req_r)
-        os.close(res_w)
-        worker = _Worker(
-            worker_id=worker_id,
-            pid=pid,
-            slot=slot.index,
-            row=row,
-            req_w=req_w,
-            res_r=res_r,
-        )
-        slot.handle = worker
-        self._live.append(worker)
-        self.workers_spawned += 1
-        return worker
-
-    def _child_main(
-        self, worker_id: int, row: int, req_r: int, res_w: int
-    ) -> None:  # pragma: no cover - runs in the forked child
-        signal.signal(signal.SIGPIPE, signal.SIG_IGN)
+    def _child_main(self, child: Child) -> None:  # pragma: no cover - child
+        """Command loop of one worker; returns (exit 0) at channel EOF."""
+        board = self.group.board
         ctx = WorkerContext(
-            worker_id=worker_id,
-            board=self.board,
-            row=row,
+            worker_id=child.ident,
+            board=board,
+            row=child.row,
             injector=self.injector,
         )
+        sock = child.sock
         try:
-            _send_msg(res_w, ("ready", worker_id))
+            codec.send_frame(sock, ("ready",), codec.PICKLE)
             while True:
-                msg = _recv_msg(req_r)
+                msg = codec.recv_frame(sock, codec.PICKLE)
+                if msg is None:  # drained or shut down
+                    board.mark_done(child.row)
+                    return
                 kind = msg[0]
-                if kind == "exit":
-                    self.board.mark_done(row)
-                    os._exit(0)
-                elif kind == "idle":
-                    self.board.tick(row, 0)
+                if kind == "idle":
+                    board.tick(child.row, 0)
                     time.sleep(float(msg[1]))
-                    _send_msg(res_w, ("ready", worker_id))
                 elif kind == "lease":
                     chunk: WorkChunk = msg[1]
                     ctx.items_assigned += chunk.num_items
-                    self.board.assign(row, ctx.items_assigned)
+                    board.assign(child.row, ctx.items_assigned)
                     if self.injector is not None:
-                        self.injector.maybe_kill_worker(worker_id)
+                        self.injector.maybe_kill_worker(child.ident)
                     terms, checksum, nbytes = self.runner(chunk, ctx)
-                    self.board.tick(row, 0)
-                    _send_msg(
-                        res_w,
-                        ("done", worker_id, chunk.chunk_id, terms, checksum, nbytes),
+                    board.tick(child.row, 0)
+                    codec.send_frame(
+                        sock,
+                        ("done", chunk.chunk_id, terms, checksum, nbytes),
+                        codec.PICKLE,
                     )
-                    _send_msg(res_w, ("ready", worker_id))
                 else:
                     raise ElasticError(f"unknown command {kind!r}")
-        except (EOFError, BrokenPipeError):
-            os._exit(0)
-        except BaseException:
-            traceback.print_exc()
-            os._exit(1)
+                codec.send_frame(sock, ("ready",), codec.PICKLE)
+        except (BrokenPipeError, ConnectionResetError):
+            return  # the parent closed the channel under us
 
     # -- the campaign loop ---------------------------------------------------
 
@@ -591,15 +504,15 @@ class ElasticPool:
         totals = [0, 0.0, 0]
         try:
             for slot in self._slots:
-                if slot.active and slot.handle is None:
-                    self._spawn(slot)
+                if slot.active:
+                    self.group.spawn(slot.index)
             while not ledger.done:
                 if self.deadline is not None:
                     self.deadline.check("elastic campaign")
                 self._pump(ledger, obs, totals, on_chunk)
                 self._reap(ledger, obs)
                 self._watchdog(ledger, obs)
-                if not ledger.done and not self._live and self.size == 0:
+                if not ledger.done and not self.group.children and self.size == 0:
                     raise ElasticError(
                         f"no live workers and no spawnable slots with "
                         f"{ledger.pending_count + ledger.leased_count} "
@@ -607,65 +520,58 @@ class ElasticPool:
                     )
         finally:
             self._running = False
-            self._shutdown()
+            self.group.stop(grace=max(self.term_grace, 0.25))
         return int(totals[0]), float(totals[1]), int(totals[2])
 
     def _pump(self, ledger, obs, totals, on_chunk) -> None:
-        fds = {w.res_r: w for w in self._live}
-        if not fds:
+        socks = {child.sock: child for child in self.group.children}
+        if not socks:
             time.sleep(self.poll_interval)
             return
-        readable, _, _ = select.select(list(fds), [], [], self.poll_interval)
-        for fd in readable:
-            worker = fds[fd]
-            if worker not in self._live:
+        readable, _, _ = select.select(list(socks), [], [], self.poll_interval)
+        for sock in readable:
+            child = socks[sock]
+            if child not in self.group.children:
                 continue  # retired earlier in this same sweep
             try:
-                msg = _recv_msg(fd)
-            except (EOFError, OSError):
+                msg = codec.recv_frame(sock, codec.PICKLE)
+            except codec.ProtocolError:
+                self._lose_worker(child, ledger, obs, reason="protocol")
+                continue
+            except OSError:
                 continue  # death; the reap pass owns this transition
-            kind = msg[0]
-            if kind == "ready":
-                self._handle_ready(worker, ledger, obs)
-            elif kind == "done":
-                self._handle_done(worker, msg, ledger, obs, totals, on_chunk)
+            if msg is None:
+                continue  # EOF: likewise
+            if msg[0] == "ready":
+                self._handle_ready(child, ledger, obs)
+            elif msg[0] == "done":
+                self._handle_done(child, msg, ledger, obs, totals, on_chunk)
 
-    def _handle_ready(self, worker: _Worker, ledger, obs) -> None:
-        if worker.exiting:
-            return
-        if worker.draining or ledger.done:
-            worker.exiting = True
-            if worker.draining:
-                obs.event(
-                    "elastic.worker_left",
-                    worker=worker.worker_id,
-                    slot=worker.slot,
-                )
-                obs.count("elastic.worker_left")
-            self._send(worker, ("exit",))
-            return
-        chunk = ledger.lease(worker.worker_id)
+    def _handle_ready(self, child: Child, ledger, obs) -> None:
+        if child.draining or ledger.done:
+            return  # it exits at the channel EOF
+        chunk = ledger.lease(child.ident)
         if chunk is None:
-            self._send(worker, ("idle", self.idle_wait))
+            self._send(child, ("idle", self.idle_wait))
         else:
             obs.count("elastic.leases_granted")
-            self._send(worker, ("lease", chunk))
+            self._send(child, ("lease", chunk))
 
     def _handle_done(
-        self, worker: _Worker, msg, ledger, obs, totals, on_chunk
+        self, child: Child, msg, ledger, obs, totals, on_chunk
     ) -> None:
-        _, wid, chunk_id, terms, checksum, nbytes = msg
+        _, chunk_id, terms, checksum, nbytes = msg
         try:
-            accepted = ledger.complete(wid, chunk_id, terms, checksum)
+            accepted = ledger.complete(child.ident, chunk_id, terms, checksum)
         except LeaseVerificationError as exc:
             obs.event(
                 "elastic.verification_failed",
-                worker=wid,
+                worker=child.ident,
                 chunk=chunk_id,
                 error=str(exc),
             )
             obs.count("elastic.verification_failures")
-            self._lose_worker(worker, ledger, obs, reason="verification")
+            self._lose_worker(child, ledger, obs, reason="verification")
             return
         if not accepted:
             return
@@ -677,67 +583,59 @@ class ElasticPool:
             on_chunk(self, ledger.completed_count)
 
     def _reap(self, ledger, obs) -> None:
-        for worker in list(self._live):
-            try:
-                wpid, status = os.waitpid(worker.pid, os.WNOHANG)
-            except ChildProcessError:  # pragma: no cover - stolen reap
-                wpid, status = worker.pid, 9
-            if wpid == 0:
+        for child in self.group.poll():
+            if child.draining and child.exit_code == 0:
+                obs.event("elastic.worker_left", worker=child.ident, slot=child.slot)
+                obs.count("elastic.worker_left")
+                # It may have exited between sending its last result and
+                # this pass reading it: that result closed unread with its
+                # channel, so the chunk it still holds is leased again.
+                if ledger.lease_of(child.ident) is not None:
+                    self._after_loss(child, ledger, obs, reason="drained")
                 continue
-            code = os.waitstatus_to_exitcode(status)
-            self._retire(worker)
-            if worker.exiting and code == 0:
-                continue  # clean drain/shutdown exit
             obs.event(
                 "elastic.worker_died",
-                worker=worker.worker_id,
-                slot=worker.slot,
-                exit_code=code,
+                worker=child.ident,
+                slot=child.slot,
+                exit_code=child.exit_code,
             )
             obs.count("elastic.workers_died")
-            self._after_loss(worker, ledger, obs, reason="death")
+            self._after_loss(child, ledger, obs, reason="death")
 
     def _watchdog(self, ledger, obs) -> None:
         if self.lease_timeout is None:
             return
         now = time.monotonic()
-        for worker in list(self._live):
-            if ledger.lease_of(worker.worker_id) is None:
-                continue
-            age = self.board.age(worker.row, now)
-            if age <= self.lease_timeout:
+        for child in self.group.stalled(self.lease_timeout, now):
+            chunk_id = ledger.lease_of(child.ident)
+            if chunk_id is None:
                 continue
             obs.event(
                 "elastic.lease_expired",
-                worker=worker.worker_id,
-                chunk=ledger.lease_of(worker.worker_id),
-                age_seconds=round(age, 4),
+                worker=child.ident,
+                chunk=chunk_id,
+                age_seconds=round(self.group.age(child, now), 4),
             )
             obs.count("elastic.leases_expired")
-            self._lose_worker(worker, ledger, obs, reason="expired")
+            self._lose_worker(child, ledger, obs, reason="expired")
 
-    def _lose_worker(self, worker: _Worker, ledger, obs, reason: str) -> None:
+    def _lose_worker(self, child: Child, ledger, obs, reason: str) -> None:
         """Kill first, forfeit second: the dead writer is reaped before
         its chunk can be re-leased, so no two workers ever hold the
         same chunk (or its part file) concurrently."""
-        kill_process(
-            worker.pid,
-            term_grace=self.term_grace,
-            poll_interval=self.poll_interval,
-        )
-        self._retire(worker)
-        self._after_loss(worker, ledger, obs, reason=reason)
+        self.group.kill(child)
+        self._after_loss(child, ledger, obs, reason=reason)
 
-    def _after_loss(self, worker: _Worker, ledger, obs, reason: str) -> None:
-        slot = self._slots[worker.slot]
-        chunk_id = ledger.forfeit(worker.worker_id)
+    def _after_loss(self, child: Child, ledger, obs, reason: str) -> None:
+        slot = self._slots[child.slot]
+        chunk_id = ledger.forfeit(child.ident)
         if chunk_id is not None:
             slot.losses += 1
             self.leases_reassigned += 1
             obs.event(
                 "elastic.lease_reassigned",
                 chunk=chunk_id,
-                worker=worker.worker_id,
+                worker=child.ident,
                 slot=slot.index,
                 reason=reason,
                 losses=slot.losses,
@@ -745,68 +643,34 @@ class ElasticPool:
             obs.count("elastic.lease_reassigned")
         if not slot.active or slot.quarantined or ledger.done:
             return
+        if self.group.current(slot.index) is not None:
+            return  # a drained predecessor died; the slot is staffed
         if slot.losses >= self.quarantine_after:
             slot.quarantined = True
             self.quarantined_slots += 1
             obs.event(
                 "elastic.quarantined",
                 slot=slot.index,
-                worker=worker.worker_id,
+                worker=child.ident,
                 losses=slot.losses,
             )
             obs.count("elastic.quarantined")
             return
-        replacement = self._spawn(slot)
+        replacement = self.group.spawn(slot.index)
         self.workers_respawned += 1
         obs.event(
             "elastic.worker_respawned",
-            worker=replacement.worker_id,
+            worker=replacement.ident,
             slot=slot.index,
-            replaces=worker.worker_id,
+            replaces=child.ident,
         )
         obs.count("elastic.workers_respawned")
 
-    # -- plumbing ------------------------------------------------------------
-
-    def _send(self, worker: _Worker, msg) -> None:
+    def _send(self, child: Child, msg) -> None:
         try:
-            _send_msg(worker.req_w, msg)
-        except (BrokenPipeError, OSError):
+            codec.send_frame(child.sock, msg, codec.PICKLE)
+        except OSError:
             pass  # dead child; the reap pass owns the fallout
-
-    def _retire(self, worker: _Worker) -> None:
-        for fd in (worker.req_w, worker.res_r):
-            try:
-                os.close(fd)
-            except OSError:  # pragma: no cover - already closed
-                pass
-        if worker in self._live:
-            self._live.remove(worker)
-        slot = self._slots[worker.slot]
-        if slot.handle is worker:
-            slot.handle = None
-
-    def _shutdown(self) -> None:
-        for worker in list(self._live):
-            self._send(worker, ("exit",))
-        t_end = time.monotonic() + max(self.term_grace, 0.25)
-        while self._live and time.monotonic() < t_end:
-            for worker in list(self._live):
-                try:
-                    wpid, _ = os.waitpid(worker.pid, os.WNOHANG)
-                except ChildProcessError:  # pragma: no cover
-                    wpid = worker.pid
-                if wpid != 0:
-                    self._retire(worker)
-            if self._live:
-                time.sleep(0.005)
-        for worker in list(self._live):
-            kill_process(
-                worker.pid,
-                term_grace=self.term_grace,
-                poll_interval=self.poll_interval,
-            )
-            self._retire(worker)
 
 
 # -- the formation campaign ---------------------------------------------------

@@ -16,7 +16,6 @@ heterogeneous nodes".  This module does that for the scheduling layer:
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Sequence

@@ -31,19 +31,15 @@ correctness are all real.
 
 from __future__ import annotations
 
-import os
-import pickle
-import signal
+import math
 import socket
-import struct
-import sys
 import time
-import traceback
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-_LEN = struct.Struct("!Q")
+from repro.parallel import codec
+from repro.resilience.workers import Child, WorkerGroup
 
 #: Wildcard tag for :meth:`Comm.recv`.
 ANY_TAG = -1
@@ -82,9 +78,7 @@ class Comm:
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         if dest == self._rank:
             raise MPIError("send to self is not supported")
-        sock = self._sock(dest)
-        payload = pickle.dumps((tag, obj), protocol=pickle.HIGHEST_PROTOCOL)
-        sock.sendall(_LEN.pack(len(payload)) + payload)
+        codec.send_frame(self._sock(dest), (tag, obj), codec.PICKLE)
 
     def recv(self, source: int, tag: int = ANY_TAG) -> Any:
         buf = self._pending[self._sock_key(source)]
@@ -211,9 +205,13 @@ class Comm:
 
     @staticmethod
     def _read_message(sock: socket.socket) -> tuple[int, Any]:
-        header = _recv_exact(sock, _LEN.size)
-        (length,) = _LEN.unpack(header)
-        return pickle.loads(_recv_exact(sock, length))
+        try:
+            message = codec.recv_frame(sock, codec.PICKLE)
+        except codec.ProtocolError as exc:
+            raise MPIError(f"broken message from peer: {exc}") from exc
+        if message is None:
+            raise MPIError("peer closed connection")
+        return message
 
     def close(self) -> None:
         for sock in self._peers.values():
@@ -225,18 +223,6 @@ class Comm:
 
 _TAG_COLL = -1001
 _TAG_BARRIER = -1002
-
-
-def _recv_exact(sock: socket.socket, nbytes: int) -> bytes:
-    chunks = []
-    got = 0
-    while got < nbytes:
-        chunk = sock.recv(min(1 << 20, nbytes - got))
-        if not chunk:
-            raise MPIError("peer closed connection mid-message")
-        chunks.append(chunk)
-        got += len(chunk)
-    return b"".join(chunks)
 
 
 def run_mpi(
@@ -273,82 +259,60 @@ def run_mpi(
     for a in range(size):
         for b in range(a + 1, size):
             mesh[(a, b)] = socket.socketpair()
-    # One result pipe per rank.
-    result_pipes = [socket.socketpair() for _ in range(size)]
 
-    pids = []
-    for rank in range(size):
-        pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                peers: dict[int, socket.socket] = {}
-                for (a, b), (sa, sb) in mesh.items():
-                    if a == rank:
-                        peers[b] = sa
-                        sb.close()
-                    elif b == rank:
-                        peers[a] = sb
-                        sa.close()
-                    else:
-                        sa.close()
-                        sb.close()
-                for r, (pr, pw) in enumerate(result_pipes):
-                    if r != rank:
-                        pr.close()
-                        pw.close()
-                result_pipes[rank][0].close()
-                comm = Comm(rank, size, peers)
-                value = program(comm, *args)
-                payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-                wsock = result_pipes[rank][1]
-                wsock.sendall(_LEN.pack(len(payload)) + payload)
-                wsock.close()
-                comm.close()
-                code = 0
-            except BaseException:
-                traceback.print_exc(file=sys.stderr)
-                sys.stderr.flush()
-            finally:
-                sys.stdout.flush()
-                os._exit(code)
-        pids.append(pid)
+    def rank_main(child: Child) -> None:
+        rank = child.slot
+        peers: dict[int, socket.socket] = {}
+        for (a, b), (sa, sb) in mesh.items():
+            if a == rank:
+                peers[b] = sa
+                sb.close()
+            elif b == rank:
+                peers[a] = sb
+                sa.close()
+            else:
+                sa.close()
+                sb.close()
+        comm = Comm(rank, size, peers)
+        # The rank's channel to the launcher carries its return value,
+        # boxed so that a None result is not mistaken for a clean EOF.
+        codec.send_frame(child.sock, (program(comm, *args),), codec.PICKLE)
+        comm.close()
 
-    # Launcher: close child ends, read results, reap.
-    for (sa, sb) in mesh.values():
-        sa.close()
-        sb.close()
+    group = WorkerGroup(size, rank_main, term_grace=0.5)
     results: list[Any] = [None] * size
     errors: list[int] = []
     timed_out: list[int] = []
-    for rank, (pr, pw) in enumerate(result_pipes):
-        pw.close()
-    for rank, (pr, _) in enumerate(result_pipes):
-        try:
-            if t_end is not None:
-                remaining = t_end - time.monotonic()
-                if remaining <= 0 or timed_out:
-                    timed_out.append(rank)
-                    continue
-                pr.settimeout(remaining)
-            header = _recv_exact(pr, _LEN.size)
-            (length,) = _LEN.unpack(header)
-            results[rank] = pickle.loads(_recv_exact(pr, length))
-        except (TimeoutError, socket.timeout):
-            timed_out.append(rank)
-        except (MPIError, OSError):
-            errors.append(rank)
-        finally:
-            pr.close()
-    if timed_out:
-        _kill_ranks(pids)
-    for rank, pid in enumerate(pids):
-        _, status = os.waitpid(pid, 0)
-        if (
-            os.waitstatus_to_exitcode(status) != 0
-            and rank not in errors
-            and rank not in timed_out
-        ):
+    try:
+        ranks = [group.spawn(rank) for rank in range(size)]
+        for sa, sb in mesh.values():
+            sa.close()
+            sb.close()
+        for rank, child in enumerate(ranks):
+            try:
+                if t_end is not None:
+                    remaining = t_end - time.monotonic()
+                    if remaining <= 0 or timed_out:
+                        timed_out.append(rank)
+                        continue
+                    child.sock.settimeout(remaining)
+                message = codec.recv_frame(child.sock, codec.PICKLE)
+                if message is None:
+                    errors.append(rank)
+                else:
+                    (results[rank],) = message
+            except TimeoutError:
+                timed_out.append(rank)
+            except (codec.ProtocolError, OSError):
+                errors.append(rank)
+    except BaseException:
+        group.stop(grace=0.0)  # an interrupted launch leaves no rank behind
+        raise
+    # Ranks exit right after reporting: wait for every one of them,
+    # unless the launch timed out — then retire them all at once.
+    group.stop(grace=0.0 if timed_out else math.inf)
+    for rank, child in enumerate(ranks):
+        if child.exit_code != 0 and rank not in errors and rank not in timed_out:
             errors.append(rank)
     if timed_out:
         raise MPITimeout(
@@ -358,23 +322,3 @@ def run_mpi(
     if errors:
         raise MPIError(f"rank(s) {sorted(errors)} failed; see stderr")
     return results
-
-
-def _kill_ranks(pids: list[int], term_grace: float = 0.5) -> None:
-    """SIGTERM every pid, then SIGKILL after a grace period.
-
-    Deliberately does *not* reap: the caller's blocking ``waitpid``
-    sweep owns that, and a SIGKILL'd child is guaranteed to exit, so
-    that sweep terminates promptly.
-    """
-    for pid in pids:
-        try:
-            os.kill(pid, signal.SIGTERM)
-        except ProcessLookupError:
-            pass
-    time.sleep(term_grace)
-    for pid in pids:
-        try:
-            os.kill(pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass

@@ -14,8 +14,9 @@ surface on plain ``os.fork``:
 * **shared writes** — :func:`shared_array` returns an array backed by
   an anonymous ``MAP_SHARED`` mapping, visible to all region members
   (see also :mod:`repro.parallel.sharedmem` for named segments);
-* **join at exit** — children ``os._exit``; the parent reaps them and
-  re-raises if any child failed.
+* **join at exit** — children ``os._exit``; the parent reaps them in
+  completion order (:func:`repro.resilience.workers.reap_children`)
+  and re-raises if any child failed.
 
 Like OpenMP, the block body must be written to be executed by *every*
 member.  Nested regions raise (matching PyMP's default).  With
@@ -29,19 +30,14 @@ import mmap
 import multiprocessing
 import os
 import sys
-import time
 import traceback
 from typing import Iterator, Sequence
 
 import numpy as np
 
-_ACTIVE_REGION: "Parallel | None" = None
+from repro.resilience.workers import reap_children
 
-#: Reap-poll sleep bounds for the non-blocking join (seconds).  The
-#: poll starts short (children usually finish just after the parent)
-#: and backs off so a long-running region does not busy-wait.
-_REAP_SLEEP_MIN = 0.001
-_REAP_SLEEP_MAX = 0.05
+_ACTIVE_REGION: "Parallel | None" = None
 
 
 class ParallelError(RuntimeError):
@@ -109,11 +105,9 @@ class Parallel:
         self._counter = multiprocessing.Value("l", 0, lock=True)
         self._children: list[int] = []
         self._entered = False
-        # Duck-typed repro.resilience.supervise.Supervisor (kept loose
-        # so this module never imports the resilience layer).  When
-        # set, work-sharing iterators heartbeat per pulled item and the
-        # join is the supervisor's watchdog loop instead of the plain
-        # WNOHANG sweep.
+        # Duck-typed repro.resilience.supervise.Supervisor.  When set,
+        # work-sharing iterators heartbeat per pulled item and the join
+        # adds the supervisor's watchdog to the completion-order reap.
         self._supervisor = supervisor
 
     # -- region lifecycle --------------------------------------------------
@@ -164,7 +158,7 @@ class Parallel:
                     self._children, parent_failed=exc_type is not None
                 )
             else:
-                failures = self._reap_nonblocking()
+                failures = reap_children(self._children)
         finally:
             self._children = []
             _ACTIVE_REGION = None
@@ -189,42 +183,6 @@ class Parallel:
                 )
             raise ParallelError(message, failed_ranks=ranks, exit_codes=codes)
         return False
-
-    def _reap_nonblocking(self) -> list[tuple[int, int]]:
-        """Reap children in *completion* order (WNOHANG + backoff poll).
-
-        The original join waited for rank 1, then rank 2, ... with
-        blocking ``waitpid``: a hung rank 1 masked rank 3's crash
-        diagnostics forever.  Failures are returned sorted by rank so
-        ``failed_ranks``/``exit_codes`` ordering stays stable for
-        callers regardless of which child exited first.
-        """
-        pending = {rank + 1: pid for rank, pid in enumerate(self._children)}
-        failures: list[tuple[int, int]] = []
-        sleep = _REAP_SLEEP_MIN
-        while pending:
-            progressed = False
-            for rank in sorted(pending):
-                try:
-                    wpid, status = os.waitpid(pending[rank], os.WNOHANG)
-                except ChildProcessError:  # pragma: no cover - stolen reap
-                    pending.pop(rank)
-                    progressed = True
-                    continue
-                if wpid == 0:
-                    continue
-                pending.pop(rank)
-                progressed = True
-                code = os.waitstatus_to_exitcode(status)
-                if code != 0:
-                    failures.append((rank, code))
-            if progressed:
-                sleep = _REAP_SLEEP_MIN
-            elif pending:
-                time.sleep(sleep)
-                sleep = min(sleep * 2, _REAP_SLEEP_MAX)
-        failures.sort(key=lambda rc: rc[0])
-        return failures
 
     # -- work sharing --------------------------------------------------------
 

@@ -30,7 +30,6 @@ import hashlib
 import io
 import itertools
 import json
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,6 +43,11 @@ from repro.utils import logging as rlog
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_VERSION = 1
+
+#: A streamed checkpoint rewrites its journal after the first block and
+#: then every this many blocks, so an early abort still resumes from a
+#: verified prefix.
+JOURNAL_EVERY = 16
 
 
 class CheckpointError(RuntimeError):
@@ -211,9 +215,10 @@ class StreamCheckpoint:
 
     The data file ``equations.bin`` grows block-append-only; the
     manifest lists, per written block: canonical pair index, pair
-    coordinates, byte offset/size and checksum.  ``flush_every``
-    controls how often the manifest is rewritten — blocks written
-    after the last flush are simply re-formed on resume (formation is
+    coordinates, byte offset/size and checksum.  The manifest is
+    rewritten after the first block and then every
+    :data:`JOURNAL_EVERY` blocks — blocks written after the last
+    rewrite are simply re-formed on resume (formation is
     deterministic, so re-forming is always safe).
     """
 
@@ -312,7 +317,6 @@ def stream_to_file_checkpointed(
     directory: str | Path,
     voltage: float = 5.0,
     faults: "FaultInjector | None" = None,
-    flush_every: int = 16,
 ) -> tuple["StreamCheckpoint", StreamResumeReport, int]:
     """Stream the full system to ``<directory>/equations.bin``, resumably.
 
@@ -400,7 +404,7 @@ def stream_to_file_checkpointed(
             offset += nbytes
             formed += 1
             unflushed += 1
-            if unflushed >= flush_every:
+            if formed == 1 or unflushed >= JOURNAL_EVERY:
                 fh.flush()
                 cp._write_manifest()
                 unflushed = 0

@@ -1,18 +1,21 @@
 """Deadline-aware worker supervision: heartbeats, watchdog, stragglers.
 
 The fork/join regions of :mod:`repro.parallel.pymp` originally joined
-with a *blocking*, rank-ordered ``os.waitpid``: one hung worker
+with a *blocking*, rank-ordered ``waitpid``: one hung worker
 stalled the whole solve forever, invisible to the retry layer (which
 only reacts to nonzero exit codes).  On large MEA workloads wall-clock
 is dominated by the slowest worker, so a production run needs three
 properties this module provides:
 
 * **liveness is observable** — every region member updates a
-  per-worker heartbeat slot (:class:`HeartbeatBoard`, an anonymous
-  shared ``mmap`` created before the fork) each time it pulls or
+  per-worker heartbeat slot (a
+  :class:`repro.resilience.workers.HeartbeatBoard`, anonymous shared
+  memory created before the fork) each time it pulls or
   completes work, so the parent can distinguish *slow* from *dead*;
 * **hangs are bounded** — a :class:`Supervisor` reaps whichever child
-  exits first (``os.WNOHANG`` + poll), declares a worker hung when its
+  exits first (:func:`repro.resilience.workers.reap_children`, the
+  same completion-order join an unsupervised region uses), declares a
+  worker hung when its
   heartbeat stalls past ``stall_timeout``, escalates SIGTERM → SIGKILL
   and surfaces the loss as
   :class:`repro.parallel.pymp.WorkerStalled` carrying every rank's
@@ -34,15 +37,11 @@ template checksum table and kept.
 
 from __future__ import annotations
 
-import os
-import signal
 import time
 from typing import Any, Callable
 
-import numpy as np
-
 from repro.observe.observer import as_observer
-from repro.parallel import pymp
+from repro.resilience.workers import HeartbeatBoard, kill_process, reap_children
 
 #: Process exit status the CLI returns when a run's :class:`Deadline`
 #: expires (distinct from 1 = failure and 2 = usage; chosen away from
@@ -51,10 +50,6 @@ from repro.parallel import pymp
 #: same code, so ``parma submit`` and ``parma solve --deadline`` are
 #: script-compatible (full table in ``docs/SERVING.md``).
 DEADLINE_EXIT_CODE = 94
-
-#: First sleep of the supervised reap loop's adaptive backoff; doubles
-#: up to ``Supervisor.poll_interval`` while nothing is exiting.
-_POLL_SLEEP_MIN = 0.001
 
 
 class DeadlineExceeded(RuntimeError):
@@ -147,166 +142,6 @@ class Deadline:
         return f"Deadline({self.seconds:g}s, remaining={self.remaining():.2f}s)"
 
 
-class HeartbeatBoard:
-    """Per-worker progress slots in anonymous shared memory.
-
-    One row per region member: ``[items_done, items_assigned,
-    last_beat (monotonic seconds), state]``.  Rows live in anonymous
-    ``MAP_SHARED`` mappings (:func:`repro.parallel.pymp.shared_array`),
-    so each mapping must be created *before* the fork of any worker
-    that will write to it; a tick is two array stores plus one
-    ``time.monotonic`` call — cheap enough for per-item use.
-    ``dump()`` serialises a snapshot for error payloads and events.
-
-    The board is *growable*: :meth:`grow` appends a fresh shared
-    segment of rows (again, pre-fork) so an elastic pool can admit
-    workers mid-campaign.  Existing rows — and the mappings already
-    inherited by running children — are untouched, so pre-growth
-    workers keep beating into the same memory.
-    """
-
-    STATE_STARTING = 0.0
-    STATE_RUNNING = 1.0
-    STATE_DONE = 2.0
-
-    def __init__(self, workers: int) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        first = pymp.shared_array((int(workers), 4), dtype=np.float64)
-        first[:, 2] = time.monotonic()
-        self._segments: list[np.ndarray] = [first]
-
-    @property
-    def workers(self) -> int:
-        """Total rows across all segments (grows with :meth:`grow`)."""
-        return sum(seg.shape[0] for seg in self._segments)
-
-    @property
-    def _slots(self) -> np.ndarray:
-        """The initial segment (compatibility view for fixed-size users)."""
-        return self._segments[0]
-
-    def grow(self, extra: int = 1) -> int:
-        """Append ``extra`` rows in a new shared segment; return the
-        index of the first new row.
-
-        Must be called in the parent *before* forking the workers that
-        will own the new rows — children forked earlier cannot see the
-        new mapping (and never need to: rows are single-writer).
-        """
-        if extra < 1:
-            raise ValueError(f"extra must be >= 1, got {extra}")
-        first_new = self.workers
-        segment = pymp.shared_array((int(extra), 4), dtype=np.float64)
-        segment[:, 2] = time.monotonic()
-        self._segments.append(segment)
-        return first_new
-
-    def _row(self, worker: int) -> np.ndarray:
-        if worker < 0:
-            raise IndexError(f"worker index must be >= 0, got {worker}")
-        for seg in self._segments:
-            rows = seg.shape[0]
-            if worker < rows:
-                return seg[worker]
-            worker -= rows
-        raise IndexError(f"worker {worker + self.workers} out of range")
-
-    # -- worker side ---------------------------------------------------------
-
-    def assign(self, worker: int, total: int) -> None:
-        row = self._row(worker)
-        row[1] = float(total)
-        row[2] = time.monotonic()
-        row[3] = self.STATE_RUNNING
-
-    def provisional_assign(self, worker: int, amount: float) -> None:
-        """Parent-side estimate of a share size, pre-fork.
-
-        Overwritten by the worker's own :meth:`assign` once it knows
-        its exact share; keeps ``progress()`` denominators meaningful
-        from the first poll."""
-        self._row(worker)[1] = float(amount)
-
-    def tick(self, worker: int, advance: int = 1) -> None:
-        row = self._row(worker)
-        row[0] += float(advance)
-        row[2] = time.monotonic()
-
-    def mark_done(self, worker: int) -> None:
-        row = self._row(worker)
-        row[2] = time.monotonic()
-        row[3] = self.STATE_DONE
-
-    # -- parent side ---------------------------------------------------------
-
-    def items_done(self, worker: int) -> int:
-        return int(self._row(worker)[0])
-
-    def is_done(self, worker: int) -> bool:
-        return self._row(worker)[3] == self.STATE_DONE
-
-    def age(self, worker: int, now: float | None = None) -> float:
-        """Seconds since the worker's last heartbeat."""
-        now = time.monotonic() if now is None else now
-        return now - float(self._row(worker)[2])
-
-    def progress(self) -> tuple[int, int]:
-        """(items done, items assigned) across the whole region."""
-        done = sum(float(seg[:, 0].sum()) for seg in self._segments)
-        assigned = sum(float(seg[:, 1].sum()) for seg in self._segments)
-        return int(done), int(assigned)
-
-    def dump(self, now: float | None = None) -> dict[int, dict[str, float]]:
-        """Snapshot per-rank progress for error payloads and events."""
-        now = time.monotonic() if now is None else now
-        out: dict[int, dict[str, float]] = {}
-        w = 0
-        for seg in self._segments:
-            for i in range(seg.shape[0]):
-                out[w] = {
-                    "items_done": float(seg[i, 0]),
-                    "items_assigned": float(seg[i, 1]),
-                    "age_seconds": round(now - float(seg[i, 2]), 4),
-                    "done": bool(seg[i, 3] == self.STATE_DONE),
-                }
-                w += 1
-        return out
-
-
-def kill_process(
-    pid: int, term_grace: float = 1.0, poll_interval: float = 0.02
-) -> int:
-    """SIGTERM, wait ``term_grace`` seconds, SIGKILL; returns the exit code.
-
-    The escalation ladder both :class:`Supervisor` and the serve-side
-    :class:`repro.serve.executor.ExecutorPool` use to retire a child:
-    polite first (atexit/finally blocks get to run), forceful after the
-    grace window, and always reaped — the return value is the child's
-    exit code (negative signal number when it died to a signal).
-    """
-    for sig, grace in (
-        (signal.SIGTERM, term_grace),
-        (signal.SIGKILL, None),
-    ):
-        try:
-            os.kill(pid, sig)
-        except ProcessLookupError:
-            pass
-        t_end = None if grace is None else time.monotonic() + grace
-        while True:
-            try:
-                wpid, status = os.waitpid(pid, 0 if grace is None else os.WNOHANG)
-            except ChildProcessError:  # pragma: no cover - stolen reap
-                return -int(sig)
-            if wpid != 0:
-                return os.waitstatus_to_exitcode(status)
-            if t_end is not None and time.monotonic() >= t_end:
-                break
-            time.sleep(min(poll_interval, 0.01))
-    return -int(signal.SIGKILL)  # pragma: no cover - unreachable
-
-
 class Supervisor:
     """Watches one parallel region at a time: reap, watchdog, deadline.
 
@@ -315,8 +150,9 @@ class Supervisor:
     ``stall_timeout``/``deadline``) and the region join becomes a
     non-blocking poll loop:
 
-    * children are reaped in *completion* order (``os.WNOHANG``), so a
-      hung rank 1 no longer masks rank 3's crash diagnostics;
+    * children are reaped in *completion* order
+      (:func:`repro.resilience.workers.reap_children`), so a hung rank
+      1 no longer masks rank 3's crash diagnostics;
     * a worker whose heartbeat stalls past ``stall_timeout`` while not
       done is declared hung: SIGTERM, then SIGKILL after
       ``term_grace`` seconds, surfaced as ``WorkerStalled`` with every
@@ -429,61 +265,48 @@ class Supervisor:
         """
         obs = as_observer(self.observer)
         board = self.board
-        pending: dict[int, int] = {
-            rank + 1: pid for rank, pid in enumerate(children)
-        }
-        failures: list[tuple[int, int]] = []
         stalled: dict[int, dict[str, float]] = {}
         straggled: set[int] = set()
         deadline_hit = False
-        # Adaptive poll sleep: start fine so a fault-free join costs
-        # about what a blocking waitpid does, back off toward
-        # poll_interval while the region is genuinely busy.
-        nap = _POLL_SLEEP_MIN
+
+        def watch(pending: dict[int, int], failures: list[tuple[int, int]]) -> None:
+            nonlocal deadline_hit
+            now = time.monotonic()
+            if self.deadline is not None and self.deadline.expired:
+                deadline_hit = True
+                self._kill_pending(pending, failures, stalled, reason="deadline")
+                return
+            if board is not None and self.stall_timeout is not None:
+                hung = [
+                    rank
+                    for rank in sorted(pending)
+                    if not board.is_done(rank)
+                    and board.age(rank, now) > self.stall_timeout
+                ]
+                for rank in hung:
+                    snapshot = board.dump(now).get(rank, {})
+                    obs.event(
+                        "supervise.heartbeat_stall",
+                        rank=rank,
+                        age_seconds=snapshot.get("age_seconds"),
+                        items_done=snapshot.get("items_done"),
+                    )
+                    obs.count("supervise.stalls")
+                    code = self._kill_one(pending.pop(rank))
+                    failures.append((rank, code))
+                    stalled[rank] = snapshot
+                    obs.event("supervise.worker_killed", rank=rank, exit_code=code)
+                    obs.count("supervise.workers_killed")
+            self._maybe_straggle(pending, straggled, now, obs)
+
         try:
-            while pending:
-                progressed = self._poll_once(pending, failures)
-                if not pending:
-                    break
-                now = time.monotonic()
-                if self.deadline is not None and self.deadline.expired:
-                    deadline_hit = True
-                    self._kill_pending(pending, failures, stalled, reason="deadline")
-                    break
-                if board is not None and self.stall_timeout is not None:
-                    hung = [
-                        rank
-                        for rank in sorted(pending)
-                        if not board.is_done(rank)
-                        and board.age(rank, now) > self.stall_timeout
-                    ]
-                    for rank in hung:
-                        snapshot = board.dump(now).get(rank, {})
-                        obs.event(
-                            "supervise.heartbeat_stall",
-                            rank=rank,
-                            age_seconds=snapshot.get("age_seconds"),
-                            items_done=snapshot.get("items_done"),
-                        )
-                        obs.count("supervise.stalls")
-                        code = self._kill_one(pending.pop(rank))
-                        failures.append((rank, code))
-                        stalled[rank] = snapshot
-                        obs.event(
-                            "supervise.worker_killed", rank=rank, exit_code=code
-                        )
-                        obs.count("supervise.workers_killed")
-                self._maybe_straggle(pending, straggled, now, obs)
-                if progressed:
-                    nap = _POLL_SLEEP_MIN
-                elif pending:
-                    time.sleep(nap)
-                    nap = min(nap * 2.0, self.poll_interval)
+            failures = reap_children(
+                children, watch=watch, max_nap=self.poll_interval
+            )
         finally:
             self.board = None
             self._on_straggler = None
             self._region_workers = 0
-        failures.sort(key=lambda rc: rc[0])
         if deadline_hit and not parent_failed:
             raise DeadlineExceeded(
                 f"deadline of {self.deadline.seconds:g}s expired inside a "
@@ -494,29 +317,6 @@ class Supervisor:
         return failures, stalled
 
     # -- internals -----------------------------------------------------------
-
-    @staticmethod
-    def _poll_once(
-        pending: dict[int, int], failures: list[tuple[int, int]]
-    ) -> bool:
-        """One WNOHANG sweep; reaps whichever children already exited."""
-        progressed = False
-        for rank in sorted(pending):
-            pid = pending[rank]
-            try:
-                wpid, status = os.waitpid(pid, os.WNOHANG)
-            except ChildProcessError:  # pragma: no cover - already reaped
-                pending.pop(rank)
-                progressed = True
-                continue
-            if wpid == 0:
-                continue
-            pending.pop(rank)
-            progressed = True
-            code = os.waitstatus_to_exitcode(status)
-            if code != 0:
-                failures.append((rank, code))
-        return progressed
 
     def _kill_one(self, pid: int) -> int:
         """SIGTERM, wait ``term_grace``, SIGKILL; returns the exit code."""

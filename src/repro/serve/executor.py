@@ -14,21 +14,21 @@ inherited ``socketpair``:
   Response, "metrics": {...}}`` per member, then ``{"kind":
   "batch-done"}``.
 
-The channel reuses the protocol's 4-byte length prefix and size bound
-but carries pickled objects rather than JSON: both ends are the same
-trusted codebase, pickling skips four JSON passes per request (the
-benchmarked difference between the subprocess path clearing and
+The channel is a :mod:`repro.parallel.codec` frame stream — the same
+header, size bound and exact-read as the JSON client protocol — with
+the :data:`~repro.parallel.codec.PICKLE` serializer: both ends are the
+same trusted codebase, pickling skips four JSON passes per request
+(the benchmarked difference between the subprocess path clearing and
 missing its < 5 % overhead gate), and binary floats round-trip
 bit-exactly by construction.  The *client* socket stays JSON.
 
-Supervision reuses the PR-4 machinery: a
-:class:`repro.resilience.supervise.HeartbeatBoard` row per slot
-(created before the first fork, so every child — including respawns —
-shares the mapping), ticked by the child at each request boundary.
-The dispatching parent kills a child via
-:func:`repro.resilience.supervise.kill_process` when its heartbeat age
-exceeds ``stall_timeout`` (or the in-flight request's capped
-``Deadline`` plus grace), then respawns the slot and either
+The children are one :class:`repro.resilience.workers.WorkerGroup`:
+each spawn gets a fresh heartbeat row, ticked by the child at each
+request boundary, and a per-slot generation the serve fault hooks key
+on.  The dispatching parent retires a child through the group's
+SIGTERM → SIGKILL ladder when its heartbeat age exceeds
+``stall_timeout`` (or the in-flight request's capped ``Deadline``
+plus grace), then respawns the slot and either
 *salvages* the batch's unresolved tickets onto the fresh child (at
 most ``max_salvage`` times per ticket) or resolves them with the
 retriable ``worker-lost`` status.  Crashes, clean EOFs and corrupt
@@ -39,26 +39,19 @@ chaos modes of :mod:`repro.resilience.faults` exercise.
 from __future__ import annotations
 
 import os
-import pickle
 import select
 import signal
 import socket
-import struct
-import time
 from pathlib import Path
 from typing import Callable
 
 from repro.observe import Observer
 from repro.observe.observer import as_observer
+from repro.parallel import codec
 from repro.resilience.faults import FaultInjector, FaultPlan, as_injector
-from repro.resilience.supervise import Deadline, HeartbeatBoard, kill_process
-from repro.serve.protocol import (
-    MAX_MESSAGE_BYTES,
-    STATUS_WORKER_LOST,
-    ProtocolError,
-    Response,
-    _recv_exact,
-)
+from repro.resilience.supervise import Deadline
+from repro.resilience.workers import Child, WorkerGroup
+from repro.serve.protocol import STATUS_WORKER_LOST, Response
 from repro.serve.queue import Ticket
 from repro.serve.runner import RequestRunner
 from repro.utils import logging as rlog
@@ -66,64 +59,13 @@ from repro.utils import logging as rlog
 #: Parent-side readability poll between heartbeat checks.
 _POLL_SECONDS = 0.1
 
-#: Executor-channel length prefix (same shape as the JSON protocol's).
-_LENGTH_FORMAT = ">I"
-_LENGTH_BYTES = struct.calcsize(_LENGTH_FORMAT)
-
-
-def _encode_frame(message: dict) -> bytes:
-    """Frame a pickled executor-channel message (parent ↔ child only)."""
-    payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    if len(payload) > MAX_MESSAGE_BYTES:
-        raise ProtocolError(
-            f"executor frame of {len(payload)} bytes exceeds the "
-            f"{MAX_MESSAGE_BYTES}-byte limit"
-        )
-    return struct.pack(_LENGTH_FORMAT, len(payload)) + payload
-
-
-def _send_frame(sock: socket.socket, message: dict) -> None:
-    """Write one framed executor-channel message."""
-    sock.sendall(_encode_frame(message))
-
 
 def _recv_frame(sock: socket.socket) -> dict | None:
-    """Read one executor-channel message; None on clean EOF.
-
-    Enforces the same length bound as the JSON protocol, so a corrupt
-    prefix (including the injected ``serve_corrupt_frames`` fault) is
-    rejected deterministically instead of desynchronizing the stream.
-    """
-    header = _recv_exact(sock, _LENGTH_BYTES)
-    if header is None:
-        return None
-    (length,) = struct.unpack(_LENGTH_FORMAT, header)
-    if length > MAX_MESSAGE_BYTES:
-        raise ProtocolError(
-            f"executor frame of {length} bytes exceeds the "
-            f"{MAX_MESSAGE_BYTES}-byte limit"
-        )
-    payload = _recv_exact(sock, length)
-    if payload is None:
-        raise ProtocolError("connection closed between header and payload")
-    try:
-        message = pickle.loads(payload)
-    except Exception as exc:
-        raise ProtocolError(f"undecodable executor frame: {exc}") from exc
-    if not isinstance(message, dict):
-        raise ProtocolError("executor frame must unpickle to a dict")
+    """Read one executor-channel message; None on clean EOF."""
+    message = codec.recv_frame(sock, codec.PICKLE)
+    if message is not None and not isinstance(message, dict):
+        raise codec.ProtocolError("executor frame must unpickle to a dict")
     return message
-
-
-class _Child:
-    """Parent-side handle for one forked executor worker."""
-
-    __slots__ = ("pid", "sock", "generation")
-
-    def __init__(self, pid: int, sock: socket.socket, generation: int) -> None:
-        self.pid = pid
-        self.sock = sock
-        self.generation = generation
 
 
 class ExecutorPool:
@@ -166,10 +108,7 @@ class ExecutorPool:
         self.observer = as_observer(observer)
         self.faults = as_injector(faults)
         self.on_response = on_response
-        # Created before any fork so every child shares the mapping.
-        self.board = HeartbeatBoard(self.slots)
-        self._children: list[_Child | None] = [None] * self.slots
-        self._generations = [0] * self.slots
+        self.group = WorkerGroup(self.slots, self._child_main, term_grace=term_grace)
         self.respawns = 0
         self.salvaged = 0
         self.lost_responses = 0
@@ -190,69 +129,33 @@ class ExecutorPool:
 
     def stop(self) -> None:
         """Retire every child: EOF first (clean exit), escalate if needed."""
-        for slot, child in enumerate(self._children):
-            if child is None:
-                continue
-            try:
-                child.sock.close()
-            except OSError:  # pragma: no cover - already torn down
-                pass
-            kill_process(child.pid, term_grace=self.term_grace)
-            self._children[slot] = None
+        self.group.stop()
 
-    def _spawn(self, slot: int) -> _Child:
+    def _spawn(self, slot: int) -> Child:
         """Fork a fresh executor child into ``slot``."""
-        generation = self._generations[slot]
-        self._generations[slot] += 1
-        self.board.assign(slot, 0)  # reset the heartbeat clock pre-fork
-        parent_sock, child_sock = socket.socketpair()
-        pid = os.fork()
-        if pid == 0:  # pragma: no cover - child process, exits via os._exit
-            try:
-                parent_sock.close()
-                _child_main(
-                    child_sock,
-                    slot=slot,
-                    generation=generation,
-                    board=self.board,
-                    results_dir=self.results_dir,
-                    strategy=self.strategy,
-                    num_workers=self.num_workers,
-                    max_deadline=self.max_deadline,
-                    faults=self.faults,
-                )
-            finally:
-                os._exit(1)  # _child_main exits itself; this is the net
-        child_sock.close()
-        parent_sock.settimeout(self.stall_timeout)
-        child = _Child(pid, parent_sock, generation)
-        self._children[slot] = child
-        if generation > 0:
+        child = self.group.spawn(slot)
+        child.sock.settimeout(self.stall_timeout)
+        if child.generation > 0:
             self.respawns += 1
             self.observer.count("serve.worker_respawns")
         rlog.info(
-            "serve.executor_spawned", slot=slot, pid=pid, generation=generation
+            "serve.executor_spawned",
+            slot=slot,
+            pid=child.pid,
+            generation=child.generation,
         )
         return child
 
-    def _lose(self, slot: int, reason: str) -> None:
+    def _lose(self, child: Child, reason: str) -> None:
         """Kill + forget the slot's child after any loss signal."""
-        child = self._children[slot]
-        if child is None:
-            return
         self.observer.count("serve.worker_lost")
-        try:
-            child.sock.close()
-        except OSError:  # pragma: no cover - already torn down
-            pass
-        code = kill_process(child.pid, term_grace=self.term_grace)
-        self._children[slot] = None
+        code = self.group.kill(child)
         self.observer.event(
-            "serve.worker_lost", slot=slot, reason=reason, exit_code=code
+            "serve.worker_lost", slot=child.slot, reason=reason, exit_code=code
         )
         rlog.info(
             "serve.worker_lost",
-            slot=slot,
+            slot=child.slot,
             pid=child.pid,
             reason=reason,
             exit_code=code,
@@ -303,9 +206,7 @@ class ExecutorPool:
         loss (the child is already killed and the slot left empty for
         the next attempt to respawn).
         """
-        child = self._children[slot]
-        if child is None:
-            child = self._spawn(slot)
+        child = self.group.current(slot) or self._spawn(slot)
         job = {
             "kind": "batch",
             "requests": [t.request for t in tickets],
@@ -317,9 +218,9 @@ class ExecutorPool:
                 "serve.queue_wait_seconds", ticket.queue_seconds()
             )
         try:
-            _send_frame(child.sock, job)
+            codec.send_frame(child.sock, job, codec.PICKLE)
         except OSError:
-            self._lose(slot, reason="send-failed")
+            self._lose(child, reason="send-failed")
             return False
         unresolved = {index: t for index, t in enumerate(tickets)}
         while True:
@@ -329,29 +230,29 @@ class ExecutorPool:
                 ready = []
             if not ready:
                 limit = self._stall_limit(unresolved)
-                if self.board.age(slot) > limit:
-                    self._lose(slot, reason="stall")
+                if self.group.age(child) > limit:
+                    self._lose(child, reason="stall")
                     return False
                 continue
             try:
                 message = _recv_frame(child.sock)
-            except (ProtocolError, OSError, socket.timeout):
-                self._lose(slot, reason="protocol")
+            except (codec.ProtocolError, OSError):
+                self._lose(child, reason="protocol")
                 return False
             if message is None:
-                self._lose(slot, reason="eof")
+                self._lose(child, reason="eof")
                 return False
             kind = message.get("kind")
             if kind == "batch-done":
                 return True
             if kind != "result":  # pragma: no cover - unknown frame kind
-                self._lose(slot, reason=f"unexpected-{kind}")
+                self._lose(child, reason=f"unexpected-{kind}")
                 return False
             index = int(message.get("index", -1))
             ticket = unresolved.pop(index, None)
             response = message.get("response")
             if not isinstance(response, Response):
-                self._lose(slot, reason="bad-response")
+                self._lose(child, reason="bad-response")
                 return False
             metrics = message.get("metrics")
             if metrics and self.observer.metrics is not None:
@@ -378,106 +279,95 @@ class ExecutorPool:
             return self.stall_timeout
         return min(self.stall_timeout, deadline.seconds + self.term_grace + 1.0)
 
+    # -- child side ----------------------------------------------------------
 
-# -- child side ---------------------------------------------------------------
+    def _child_main(self, child: Child) -> None:  # pragma: no cover - child
+        """Request loop of one executor child; exits via ``os._exit``.
 
+        The child is single-threaded: a private runner (warm engine pool),
+        the inherited heartbeat row ticked at request boundaries, and a
+        metrics registry snapshotted back with every result so the parent's
+        ``stats`` stay a running total across the whole pool.
+        """
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        from repro.core.templates import has_template
 
-def _child_main(
-    sock: socket.socket,
-    *,
-    slot: int,
-    generation: int,
-    board: HeartbeatBoard,
-    results_dir: Path,
-    strategy: str,
-    num_workers: int,
-    max_deadline: float | None,
-    faults: FaultInjector | None,
-) -> None:  # pragma: no cover - runs in the forked child
-    """Request loop of one executor child; exits via ``os._exit``.
-
-    The child is single-threaded: a private runner (warm engine pool),
-    the inherited heartbeat row ticked at request boundaries, and a
-    metrics registry snapshotted back with every result so the parent's
-    ``stats`` stay a running total across the whole pool.
-    """
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.signal(signal.SIGINT, signal.SIG_DFL)
-    from repro.core.templates import has_template
-
-    runner = RequestRunner(
-        results_dir,
-        strategy=strategy,
-        num_workers=num_workers,
-        max_deadline=max_deadline,
-        pool_engines=True,
-        observer=Observer(),
-    )
-    ordinal = 0  # requests served since this child forked
-    while True:
-        try:
-            message = _recv_frame(sock)
-        except (ProtocolError, OSError):
-            os._exit(1)
-        if message is None:  # parent closed the pipe: clean retirement
-            os._exit(0)
-        if message.get("kind") != "batch":
-            continue
-        requests = message.get("requests") or []
-        queue_seconds = message.get("queue_seconds") or []
-        batch_size = int(message.get("batch_size", len(requests)))
-        warm_head = True
-        for index, request in enumerate(requests):
-            board.tick(slot)
-            if index == 0:
-                # Warmth is a property of *this child's* caches.
-                warm_head = has_template(request.n)
-            if faults is not None:
-                faults.on_serve_request(ordinal, generation)
-            response = runner.run(
-                request,
-                batch_size=batch_size,
-                warm=warm_head or index > 0,
-                queue_seconds=float(
-                    queue_seconds[index] if index < len(queue_seconds) else 0.0
-                ),
-            )
-            snapshot = (
-                runner.observer.metrics.snapshot()
-                if runner.observer.metrics is not None
-                else {}
-            )
-            if runner.observer.metrics is not None:
-                runner.observer.metrics.clear()
-            payload = {
-                "kind": "result",
-                "index": index,
-                "response": response,
-                "metrics": snapshot,
-            }
-            fate = (
-                faults.serve_frame_fate(ordinal, generation)
-                if faults is not None
-                else "ok"
-            )
-            ordinal += 1
+        board, faults = self.group.board, self.faults
+        sock, row, generation = child.sock, child.row, child.generation
+        runner = RequestRunner(
+            self.results_dir,
+            strategy=self.strategy,
+            num_workers=self.num_workers,
+            max_deadline=self.max_deadline,
+            pool_engines=True,
+            observer=Observer(),
+        )
+        ordinal = 0  # requests served since this child forked
+        while True:
             try:
-                if fate == "drop":
-                    sock.close()
-                    os._exit(75)
-                frame = _encode_frame(payload)
-                if fate == "corrupt":
-                    # An impossible length prefix: the parent's framing
-                    # layer rejects it deterministically.
-                    frame = (
-                        struct.pack(_LENGTH_FORMAT, MAX_MESSAGE_BYTES + 1)
-                        + frame[_LENGTH_BYTES:]
-                    )
-                sock.sendall(frame)
+                message = _recv_frame(sock)
+            except (codec.ProtocolError, OSError):
+                os._exit(1)
+            if message is None:  # parent closed the channel: clean retirement
+                os._exit(0)
+            if message.get("kind") != "batch":
+                continue
+            requests = message.get("requests") or []
+            queue_seconds = message.get("queue_seconds") or []
+            batch_size = int(message.get("batch_size", len(requests)))
+            warm_head = True
+            for index, request in enumerate(requests):
+                board.tick(row)
+                if index == 0:
+                    # Warmth is a property of *this child's* caches.
+                    warm_head = has_template(request.n)
+                if faults is not None:
+                    faults.on_serve_request(ordinal, generation)
+                response = runner.run(
+                    request,
+                    batch_size=batch_size,
+                    warm=warm_head or index > 0,
+                    queue_seconds=float(
+                        queue_seconds[index] if index < len(queue_seconds) else 0.0
+                    ),
+                )
+                snapshot = (
+                    runner.observer.metrics.snapshot()
+                    if runner.observer.metrics is not None
+                    else {}
+                )
+                if runner.observer.metrics is not None:
+                    runner.observer.metrics.clear()
+                payload = {
+                    "kind": "result",
+                    "index": index,
+                    "response": response,
+                    "metrics": snapshot,
+                }
+                fate = (
+                    faults.serve_frame_fate(ordinal, generation)
+                    if faults is not None
+                    else "ok"
+                )
+                ordinal += 1
+                try:
+                    if fate == "drop":
+                        sock.close()
+                        os._exit(75)
+                    frame = codec.encode_frame(payload, codec.PICKLE)
+                    if fate == "corrupt":
+                        # An impossible length prefix: the parent's framing
+                        # layer rejects it deterministically.
+                        frame = (
+                            codec.frame_header(codec.MAX_MESSAGE_BYTES + 1)
+                            + frame[codec.HEADER_BYTES:]
+                        )
+                    sock.sendall(frame)
+                except OSError:
+                    os._exit(1)
+                board.tick(row)
+            try:
+                codec.send_frame(sock, {"kind": "batch-done"}, codec.PICKLE)
             except OSError:
                 os._exit(1)
-            board.tick(slot)
-        try:
-            _send_frame(sock, {"kind": "batch-done"})
-        except OSError:
-            os._exit(1)

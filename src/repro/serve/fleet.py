@@ -25,12 +25,13 @@ Design decisions worth knowing:
   front walks the ring to the next live shard, and only after
   ``max_reroutes`` extra attempts answers ``worker-lost`` (exit 75,
   retriable, same contract as a lost executor worker).
-* **Health is the existing HeartbeatBoard.**  Each shard child beats
-  one row of a shared-memory :class:`repro.resilience.supervise.
-  HeartbeatBoard`; the front's watchdog reaps exited children,
-  declares a silent shard dead after ``shard_stall_timeout`` seconds,
-  and respawns (new generation) — the same escalation ladder as the
-  executor pool, one level up.
+* **Health is the shared worker group.**  The shard processes are one
+  :class:`repro.resilience.workers.WorkerGroup`, the same primitive
+  under the executor pool one level down: each shard child beats its
+  own heartbeat row, and the front's watchdog reaps exited children
+  (the group's exit poll), declares a silent shard dead after
+  ``shard_stall_timeout`` seconds (the group's stall check), and
+  respawns it (new generation) through the same kill ladder.
 * **Fairness is enforced at the front.**  Per-client token buckets
   (``quota_rate``/``quota_burst``) and a per-shard in-flight bound
   (``max_inflight_per_shard``) that sheds *batch* work targeting a hot
@@ -59,7 +60,7 @@ from repro.observe.manifest import environment_info
 from repro.observe.metrics import MetricsRegistry
 from repro.observe.observer import as_observer
 from repro.resilience.faults import as_injector
-from repro.resilience.supervise import HeartbeatBoard, kill_process
+from repro.resilience.workers import Child, WorkerGroup
 from repro.serve.protocol import (
     PRIORITY_CLASSES,
     PRIORITY_INTERACTIVE,
@@ -235,7 +236,7 @@ class _Shard:
 
     index: int
     generation: int = 0
-    pid: int | None = None
+    child: Child | None = None  # process mode only
     service: SolveService | None = None  # in-process mode only
     inflight: int = 0
     lost: bool = False
@@ -261,7 +262,7 @@ class SolveFleet:
         self.observer = as_observer(config.observer)
         self.faults = as_injector(config.faults)
         self.map = ShardMap(config.shards, config.replicas)
-        self.board: HeartbeatBoard | None = None
+        self.group: WorkerGroup | None = None
         self._shards: list[_Shard] = [
             _Shard(index=i) for i in range(config.shards)
         ]
@@ -295,9 +296,12 @@ class SolveFleet:
         # Sample the manifest environment before the shards fork, so
         # each inherits it instead of probing it again.
         environment_info()
-        # The board must exist before the first fork so every child
-        # inherits the same shared-memory mapping.
-        self.board = HeartbeatBoard(self.config.shards)
+        if self._processes:
+            self.group = WorkerGroup(
+                self.config.shards,
+                self._shard_main,
+                term_grace=self.config.term_grace,
+            )
         # Bind before forking: a bind failure (port already in use)
         # must not leak orphaned shard processes.
         self._bind_front()
@@ -306,10 +310,9 @@ class SolveFleet:
                 self._spawn(shard)
             self._wait_shards_ready()
         except BaseException:
+            if self.group is not None:
+                self.group.stop(grace=0.0)
             for shard in self._shards:
-                if shard.pid is not None:
-                    kill_process(shard.pid, term_grace=0.2)
-                    shard.pid = None
                 if shard.service is not None:
                     shard.service.stop()
                     shard.service = None
@@ -366,25 +369,15 @@ class SolveFleet:
         shard.generation += 1
         shard.lost = False
         self.config.shard_dir(shard.index).mkdir(parents=True, exist_ok=True)
-        assert self.board is not None
-        self.board.assign(shard.index, 0)  # fresh heartbeat pre-fork
-        if self._processes:
-            pid = os.fork()
-            if pid == 0:  # pragma: no cover - exercised in child process
-                _shard_main(
-                    shard.index,
-                    self.board,
-                    self._listeners,
-                    self.config,
-                )
-                os._exit(1)
-            shard.pid = pid
-            shard.service = None
+        if self.group is not None:
+            if shard.child is None:
+                shard.child = self.group.spawn(shard.index)
+            else:  # kills a stalled predecessor first
+                shard.child = self.group.respawn(shard.child)
         else:
             service = SolveService(self.config.shard_service_config(shard.index))
             service.start()
             shard.service = service
-            shard.pid = None
 
     def _wait_shards_ready(self) -> None:
         """Block until every shard accepts connections (or time out)."""
@@ -418,29 +411,22 @@ class SolveFleet:
     def wait(self, timeout: float | None = None) -> bool:
         """Block until every shard finished draining; True when done."""
         deadline = None if timeout is None else time.monotonic() + timeout
-        for shard in self._shards:
+        if self.group is not None:
             while True:
-                if self._processes:
-                    if shard.pid is None:
-                        break
-                    try:
-                        done_pid, _ = os.waitpid(shard.pid, os.WNOHANG)
-                    except ChildProcessError:
-                        done_pid = shard.pid
-                    if done_pid == shard.pid:
-                        shard.pid = None
-                        break
-                else:
-                    if shard.service is None:
-                        break
-                    if shard.service.wait(timeout=_POLL_SECONDS):
-                        shard.service.stop()
-                        shard.service = None
-                        break
+                with self._shards_lock:
+                    self.group.poll()
+                    if not self.group.children:
+                        return True
                 if deadline is not None and time.monotonic() >= deadline:
                     return False
-                if self._processes:
-                    time.sleep(_POLL_SECONDS)
+                time.sleep(_POLL_SECONDS)
+        for shard in self._shards:
+            while shard.service is not None:
+                if shard.service.wait(timeout=_POLL_SECONDS):
+                    shard.service.stop()
+                    shard.service = None
+                elif deadline is not None and time.monotonic() >= deadline:
+                    return False
         return True
 
     def stop(self) -> None:
@@ -448,10 +434,10 @@ class SolveFleet:
         self.request_drain()
         self.wait(timeout=max(5.0, self.config.term_grace * 4))
         self._stopped.set()
+        if self.group is not None:
+            with self._shards_lock:
+                self.group.stop(grace=0.0)
         for shard in self._shards:
-            if shard.pid is not None:
-                kill_process(shard.pid, term_grace=self.config.term_grace)
-                shard.pid = None
             if shard.service is not None:
                 shard.service.stop()
                 shard.service = None
@@ -502,14 +488,8 @@ class SolveFleet:
     def _shard_alive(self, shard: _Shard) -> bool:
         if shard.lost:
             return False
-        if self._processes:
-            if shard.pid is None:
-                return False
-            try:
-                os.kill(shard.pid, 0)
-            except OSError:
-                return False
-            return True
+        if shard.child is not None:
+            return shard.child.exit_code is None  # not yet reaped
         return shard.service is not None
 
     def alive_shards(self) -> set[int]:
@@ -528,32 +508,22 @@ class SolveFleet:
         """Reap exited children, respawn dead or stalled shards."""
         if self.draining:
             return
-        assert self.board is not None
         with self._shards_lock:
+            exited: set[int] = set()
+            stalled: set[int] = set()
+            if self.group is not None:
+                exited = {child.slot for child in self.group.poll()}
+                stalled = {
+                    child.slot
+                    for child in self.group.stalled(self.config.shard_stall_timeout)
+                }
             for shard in self._shards:
-                dead = False
-                if self._processes and shard.pid is not None:
-                    try:
-                        done_pid, _ = os.waitpid(shard.pid, os.WNOHANG)
-                    except ChildProcessError:
-                        done_pid = shard.pid
-                    if done_pid == shard.pid:
-                        shard.pid = None
-                        dead = True
-                if shard.lost:
-                    dead = True
-                stalled = (
-                    not dead
-                    and self._shard_alive(shard)
-                    and self.board.age(shard.index)
-                    > self.config.shard_stall_timeout
-                )
-                if not dead and not stalled:
+                if shard.index in exited or shard.lost:
+                    reason = "exited"
+                elif shard.index in stalled:
+                    reason = "stalled"
+                else:
                     continue
-                reason = "stalled" if stalled else "exited"
-                if shard.pid is not None:
-                    kill_process(shard.pid, term_grace=self.config.term_grace)
-                    shard.pid = None
                 if shard.service is not None:
                     try:
                         shard.service.stop()
@@ -853,11 +823,9 @@ class SolveFleet:
         rlog.info(
             "fleet.fault.kill", shard=shard_index, ordinal=ordinal
         )
-        if shard.pid is not None:
-            try:
-                os.kill(shard.pid, signal.SIGKILL)
-            except OSError:
-                pass
+        if shard.child is not None:
+            with self._shards_lock:
+                self.group.signal(shard.child, signal.SIGKILL)
         elif shard.service is not None:
             shard.service.stop()
             with self._shards_lock:
@@ -872,15 +840,9 @@ class SolveFleet:
             "fleet.reroute", shard=shard_index, error=str(exc)
         )
         rlog.info("fleet.reroute", shard=shard_index, error=str(exc))
-        with self._shards_lock:
-            shard = self._shards[shard_index]
-            if self._processes and shard.pid is not None:
-                try:
-                    os.kill(shard.pid, 0)
-                except OSError:
-                    pass  # already gone; the watchdog reaps it
-            elif not self._processes:
-                shard.lost = True
+        if self.group is None:
+            with self._shards_lock:
+                self._shards[shard_index].lost = True
         self._check_shards()
 
     # -- forwarding ----------------------------------------------------------
@@ -908,50 +870,44 @@ class SolveFleet:
         finally:
             sock.close()
 
+    # -- shard child ---------------------------------------------------------
 
-# -- shard child --------------------------------------------------------------
+    def _shard_main(self, child: Child) -> None:  # pragma: no cover - child
+        """Run one shard service until drained; never returns normally."""
+        index, row, board = child.slot, child.row, self.group.board
+        for listener in self._listeners:
+            try:
+                listener.close()
+            except OSError:
+                pass
+        # Fresh Observer with a live metrics registry so `stats`
+        # aggregation has real counters to merge (the inherited global
+        # observer may be a null one).
+        service = SolveService(
+            replace(self.config.shard_service_config(index), observer=Observer())
+        )
 
+        def _drain(signum: int, frame: object) -> None:
+            service.request_drain()
 
-def _shard_main(
-    index: int,
-    board: HeartbeatBoard,
-    listeners: list[socket.socket],
-    config: FleetConfig,
-) -> None:  # pragma: no cover - runs in the forked shard child
-    """Run one shard service until drained; never returns normally."""
-    for listener in listeners:
+        signal.signal(signal.SIGTERM, _drain)
+        signal.signal(signal.SIGINT, _drain)
         try:
-            listener.close()
-        except OSError:
+            service.start()
+        except Exception:
+            os._exit(1)
+        stop_beat = threading.Event()
+
+        def _beat() -> None:
+            while not stop_beat.is_set():
+                board.tick(row)
+                stop_beat.wait(_BEAT_SECONDS)
+
+        beat = threading.Thread(target=_beat, daemon=True)
+        beat.start()
+        while not service.wait(timeout=0.2):
             pass
-    # Fresh Observer with a live metrics registry so `stats`
-    # aggregation has real counters to merge (the inherited global
-    # observer may be a null one).
-    service = SolveService(
-        replace(config.shard_service_config(index), observer=Observer())
-    )
-
-    def _drain(signum: int, frame: object) -> None:
-        service.request_drain()
-
-    signal.signal(signal.SIGTERM, _drain)
-    signal.signal(signal.SIGINT, _drain)
-    try:
-        service.start()
-    except Exception:
-        os._exit(1)
-    stop_beat = threading.Event()
-
-    def _beat() -> None:
-        while not stop_beat.is_set():
-            board.tick(index)
-            stop_beat.wait(_BEAT_SECONDS)
-
-    beat = threading.Thread(target=_beat, daemon=True)
-    beat.start()
-    while not service.wait(timeout=0.2):
-        pass
-    stop_beat.set()
-    service.stop()
-    board.mark_done(index)
-    os._exit(0)
+        stop_beat.set()
+        service.stop()
+        board.mark_done(row)
+        os._exit(0)

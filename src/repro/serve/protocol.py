@@ -1,7 +1,8 @@
 """Wire protocol for the solve service: framing, schema, status codes.
 
-One message is a 4-byte big-endian length prefix followed by that many
-bytes of UTF-8 JSON.  JSON keeps the protocol debuggable (``socat``
+One message is one :mod:`repro.parallel.codec` frame — a 4-byte
+big-endian length prefix followed by that many bytes of UTF-8 JSON,
+bounded by :data:`MAX_MESSAGE_BYTES`.  JSON keeps the protocol debuggable (``socat``
 against the socket shows readable requests) and — because Python's
 ``json`` serializes floats with shortest round-tripping ``repr`` — a
 resistance field survives the wire *bit-identically*, which the
@@ -20,23 +21,16 @@ may be retried verbatim, carrying the same idempotency ``id``).  See
 
 from __future__ import annotations
 
-import json
 import socket
-import struct
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
+from repro.parallel import codec
+from repro.parallel.codec import MAX_MESSAGE_BYTES as MAX_MESSAGE_BYTES
+from repro.parallel.codec import ProtocolError
 from repro.resilience.supervise import DEADLINE_EXIT_CODE
 
-#: Per-message length-prefix format (4-byte big-endian unsigned).
-_LENGTH_FORMAT = ">I"
-_LENGTH_BYTES = struct.calcsize(_LENGTH_FORMAT)
-
-#: Refuse messages beyond this many bytes (a 200x200 field is ~1 MB;
-#: 64 MB leaves head-room without letting a bad client exhaust RAM).
-MAX_MESSAGE_BYTES = 64 * 1024 * 1024
 
 # -- statuses -----------------------------------------------------------------
 
@@ -103,19 +97,6 @@ def exit_status_for(status: str) -> int:
         return _EXIT_FOR_STATUS[status]
     except KeyError:
         raise ValueError(f"unknown response status {status!r}") from None
-
-
-class ProtocolError(RuntimeError):
-    """The peer sent bytes that do not frame/parse as a message.
-
-    ``bytes_read`` records how far into the current frame the stream
-    broke (0 when the failure happened between frames), so a client can
-    report the offset and decide whether the request was already acked.
-    """
-
-    def __init__(self, message: str, *, bytes_read: int = 0) -> None:
-        super().__init__(message)
-        self.bytes_read = bytes_read
 
 
 # -- schema -------------------------------------------------------------------
@@ -312,65 +293,18 @@ class Response:
 
 def encode_message(message: dict) -> bytes:
     """Frame a JSON-able dict as length-prefixed UTF-8 bytes."""
-    payload = json.dumps(message, separators=(",", ":")).encode("utf-8")
-    if len(payload) > MAX_MESSAGE_BYTES:
-        raise ProtocolError(
-            f"message of {len(payload)} bytes exceeds the "
-            f"{MAX_MESSAGE_BYTES}-byte limit"
-        )
-    return struct.pack(_LENGTH_FORMAT, len(payload)) + payload
+    return codec.encode_frame(message, codec.JSON)
 
 
 def send_message(sock: socket.socket, message: dict) -> None:
     """Write one framed message to a connected socket."""
-    sock.sendall(encode_message(message))
-
-
-def _recv_exact(sock: socket.socket, count: int) -> bytes | None:
-    """Read exactly ``count`` bytes; None on clean EOF at a boundary."""
-    chunks: list[bytes] = []
-    got = 0
-    while got < count:
-        chunk = sock.recv(min(count - got, 1 << 20))
-        if not chunk:
-            if got == 0:
-                return None
-            raise ProtocolError(
-                f"connection closed mid-message ({got}/{count} bytes)",
-                bytes_read=got,
-            )
-        chunks.append(chunk)
-        got += len(chunk)
-    return b"".join(chunks)
+    codec.send_frame(sock, message, codec.JSON)
 
 
 def recv_message(sock: socket.socket) -> dict | None:
     """Read one framed message; None when the peer closed cleanly."""
-    header = _recv_exact(sock, _LENGTH_BYTES)
-    if header is None:
-        return None
-    (length,) = struct.unpack(_LENGTH_FORMAT, header)
-    if length > MAX_MESSAGE_BYTES:
-        raise ProtocolError(
-            f"peer announced a {length}-byte message (limit "
-            f"{MAX_MESSAGE_BYTES})"
-        )
-    try:
-        payload = _recv_exact(sock, length)
-    except ProtocolError as exc:
-        # Make the offset frame-relative: the 4-byte header landed.
-        exc.bytes_read += _LENGTH_BYTES
-        raise
-    if payload is None:
-        raise ProtocolError(
-            "connection closed between header and payload",
-            bytes_read=_LENGTH_BYTES,
-        )
-    try:
-        message = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"undecodable message payload: {exc}") from exc
-    if not isinstance(message, dict):
+    message = codec.recv_frame(sock, codec.JSON)
+    if message is not None and not isinstance(message, dict):
         raise ProtocolError("message payload must be a JSON object")
     return message
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Sequence
 
 from repro.topology.complex import SimplicialComplex
 from repro.topology.simplex import Simplex

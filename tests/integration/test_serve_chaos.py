@@ -109,7 +109,7 @@ class TestWorkerDeathUnderLoad:
         obs = Observer()
         svc, client = _service(tmp_path, obs, max_salvage=2)
         try:
-            victim = svc.pool._children[0]
+            victim = svc.pool.group.current(0)
             assert victim is not None
 
             def assassin() -> None:

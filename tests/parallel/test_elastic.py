@@ -19,6 +19,7 @@ from repro.parallel.elastic import (
 )
 from repro.parallel.pymp import fork_available
 from repro.resilience.faults import FaultPlan
+from repro.resilience.workers import Child
 
 needs_fork = pytest.mark.skipif(not fork_available(), reason="requires os.fork")
 
@@ -244,6 +245,30 @@ class TestElasticPool:
         )
         assert report.pool_resizes == 2
         assert obs.metrics.snapshot()["elastic.pool_resized"]["value"] == 2
+
+    def test_drained_worker_reaped_before_its_result_is_read(self):
+        """A drained worker can exit between sending its last result
+        and the parent reading it; the result then closes unread with
+        its channel, and reaping the worker must not strand the chunk."""
+        pool = ElasticPool(1, lambda chunk, ctx: (0, 0.0, 0))
+        ledger = WorkLedger(plan_chunks(4, chunk_items=16))
+        ledger.lease(1)
+        child = Child(slot=0, generation=0, ident=1, row=0, sock=None)
+        child.draining, child.exit_code = True, 0
+        pool._slots[0].active = False  # shrunk away
+
+        class ReapedGroup:
+            def poll(self):
+                return [child]
+
+            def current(self, slot):
+                return None
+
+        pool.group = ReapedGroup()
+        pool._reap(ledger, Observer())
+        assert ledger.lease_of(1) is None
+        assert ledger.pending_count == ledger.total
+        assert pool.leases_reassigned == 1
 
     def test_pool_validates_arguments(self):
         runner = lambda chunk, ctx: (0, 0.0, 0)  # noqa: E731

@@ -1,9 +1,11 @@
 """Tests for the mpi4py-like message-passing runtime (real processes)."""
 
+import time
+
 import numpy as np
 import pytest
 
-from repro.parallel.mpi import ANY_TAG, MPIError, run_mpi
+from repro.parallel.mpi import ANY_TAG, MPIError, MPITimeout, run_mpi
 
 
 class TestPointToPoint:
@@ -196,3 +198,16 @@ class TestRuntime:
         results = run_mpi(prog, 4)
         assert results[0] == pytest.approx(np.pi, abs=1e-4)
         assert all(r == results[0] for r in results)
+
+
+class TestLaunchTimeout:
+    def test_hung_rank_is_retired_and_the_launch_raises(self):
+        def prog(comm):
+            if comm.Get_rank() == 1:
+                time.sleep(60)
+            return comm.Get_rank()
+
+        start = time.monotonic()
+        with pytest.raises(MPITimeout, match="killed and reaped"):
+            run_mpi(prog, 2, timeout=0.5)
+        assert time.monotonic() - start < 10.0

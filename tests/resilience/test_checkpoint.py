@@ -173,10 +173,13 @@ class TestStreamCheckpoint:
         sdir = tmp_path / "s"
         with pytest.raises(InjectedAbort):
             stream_to_file_checkpointed(
-                z5, sdir, faults=FaultPlan(abort_after_blocks=11), flush_every=4
+                z5, sdir, faults=FaultPlan(abort_after_blocks=11)
             )
         verified = verify_stream_directory(sdir).blocks_verified
-        assert 0 < verified < 25
+        # The abort comes before the first periodic journal rewrite;
+        # the journal written after the first block still resumes it.
+        assert verified >= 1
+        assert verified < 25
 
         stamped = []
         real_stamp_batch = PairTemplate.stamp_batch

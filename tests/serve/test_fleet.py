@@ -308,7 +308,7 @@ class TestFleetProcesses:
             assert client.solve(measurement.z_kohm, id="before").ok
 
             home = f.map.shard_for(8)
-            victim = f._shards[home].pid
+            victim = f._shards[home].child.pid
             assert victim is not None
             os.kill(victim, signal.SIGKILL)
 
